@@ -605,7 +605,10 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         if lat:
             print(f"latency: mean {np.mean(lat):.2f} ms, "
                   f"max {np.max(lat):.2f} ms (real sockets, localhost)")
-        print(f"durable persists: {sum(cluster.store.persist_counts.values())}")
+        written = sum(cluster.store.persist_counts.values())
+        skipped = sum(cluster.store.skip_counts.values())
+        print(f"durable persists: {written + skipped} commits, {written} "
+              f"written, {skipped} skipped (state unchanged)")
         if chaos is not None:
             print(f"chaos: {chaos.dropped} dropped, {chaos.duplicated} "
                   f"duplicated, {chaos.delayed} delayed, "

@@ -15,12 +15,31 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["Operation", "History"]
+__all__ = ["Operation", "History", "compact_value"]
 
 
-@dataclass
+def compact_value(value):
+    """An owned copy of ``value`` in the narrowest unsigned dtype holding it.
+
+    Field symbols travel as int64 (8 bytes per GF(257) symbol); a history
+    that keeps every operation only needs to compare them, and
+    ``np.array_equal`` is indifferent to dtype.  Anything that is not a
+    non-negative integer array is returned as it came.
+    """
+    if not isinstance(value, np.ndarray) or value.dtype.kind not in "iu":
+        return value
+    if value.size and int(value.min()) < 0:
+        return value
+    top = int(value.max()) if value.size else 0
+    return value.astype(np.min_scalar_type(top))
+
+
+@dataclass(slots=True)
 class Operation:
-    """One client operation (read or write)."""
+    """One client operation (read or write).
+
+    Slotted: a history keeps every operation of an execution.
+    """
 
     client_id: int
     opid: Any
@@ -61,10 +80,39 @@ class History:
 
     def __init__(self) -> None:
         self.operations: list[Operation] = []
+        #: completed writes by tag, so reads can share their objects
+        self._writes_by_tag: dict[Any, Operation] = {}
 
     def record_invoke(self, op: Operation) -> Operation:
         self.operations.append(op)
         return op
+
+    def record_response(self, op: Operation) -> None:
+        """A client completed ``op``: let equal objects be one object.
+
+        A write's response clock is its tag's clock (unless the server is
+        broken, which stays visible: nothing is shared then).  A read that
+        returned tag *t* shares the ``value`` and ``tag`` objects of the
+        completed write *t* -- but only once ``np.array_equal`` has
+        confirmed that it returned that write's value: a read that
+        returned anything else keeps what it returned, for
+        ``check_returns_written_values`` to flag.
+        """
+        if op.tag is None:
+            return
+        if op.kind == "write":
+            if op.ts == op.tag.ts:
+                op.ts = op.tag.ts
+            self._writes_by_tag.setdefault(op.tag, op)
+            return
+        write = self._writes_by_tag.get(op.tag)
+        if (
+            write is not None
+            and write.obj == op.obj
+            and np.array_equal(write.value, op.value)
+        ):
+            op.value = write.value
+            op.tag = write.tag
 
     # -- views --------------------------------------------------------
 

@@ -9,20 +9,25 @@ pure data (tags rendered as tuples) -- safe to diff, serialise, or assert
 against in tests.
 
 The second half of the module is *durable* snapshotting for crash-recovery:
-:func:`capture_server_state` deep-copies everything a server needs to
-resume (protocol state plus, when an ARQ transport is attached, its channel
-state), a :class:`DurableStore` models each server's stable storage, and
-:func:`restore_server_state` reinstalls a checkpoint into a restarted
-server.  Servers persist eagerly -- after every handled message and timer
-step -- which models a synchronous write-ahead log: anything a server ever
-acknowledged (including transport-level acks) is on disk, so recovery never
-regresses the causal past the rest of the system may have observed.
+:func:`capture_server_state` gathers everything a server needs to resume
+(protocol state plus, when an ARQ transport is attached, its channel
+state) *by reference*, a :class:`DurableStore` models each server's stable
+storage, and :func:`restore_server_state` reinstalls a checkpoint into a
+restarted server.  Copying is the job of whoever keeps the checkpoint: the
+simulator's :class:`DurableStore` retains the object and deep-copies it in
+``persist``; the live file store serialises it on the spot and copies
+nothing.  Simulated servers persist eagerly -- after every handled message
+and timer step; live servers persist once per event-loop iteration and
+hold every reply, ack and frame until that checkpoint is durable -- so
+either way anything a server ever acknowledged (transport-level acks
+included) is on disk, and recovery never regresses the causal past the
+rest of the system may have observed.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from .server import CausalECServer
@@ -169,14 +174,16 @@ class CorruptCheckpoint:
 
 
 def capture_server_state(server, transport=None) -> ServerCheckpoint:
-    """Deep-copy a server's recoverable state into a checkpoint.
+    """Gather a server's recoverable state into a checkpoint, by reference.
 
-    ``server`` may be a simulated :class:`CausalECServer` or a bare
-    :class:`~repro.protocol.server_core.ServerCore` driven by a live
-    runtime; the checkpoint time comes from the scheduler when there is
-    one, else from the core's last-event clock.
+    The checkpoint aliases the live objects: serialise it (or deep-copy
+    it, as :meth:`DurableStore.persist` does) before the server handles
+    its next event.  ``server`` may be a simulated :class:`CausalECServer`
+    or a bare :class:`~repro.protocol.server_core.ServerCore` driven by a
+    live runtime; the checkpoint time comes from the scheduler when there
+    is one, else from the core's last-event clock.
     """
-    state = {name: copy.deepcopy(getattr(server, name)) for name in _DURABLE_ATTRS}
+    state = {name: getattr(server, name) for name in _DURABLE_ATTRS}
     tstate = None
     if transport is not None and getattr(transport, "active", False):
         tstate = transport.snapshot_node(server.node_id)
@@ -240,7 +247,12 @@ class DurableStore:
     corruption_reports: list[CorruptCheckpoint] = field(default_factory=list)
 
     def persist(self, checkpoint: ServerCheckpoint) -> None:
-        self._checkpoints[checkpoint.server_id] = checkpoint
+        # the slot outlives the event that produced the checkpoint, whose
+        # state aliases the live server: keep a private copy (the transport
+        # half is already one -- ``snapshot_node`` copies what it returns)
+        self._checkpoints[checkpoint.server_id] = replace(
+            checkpoint, state=copy.deepcopy(checkpoint.state)
+        )
         self._corrupt.discard(checkpoint.server_id)
         self.persist_counts[checkpoint.server_id] = (
             self.persist_counts.get(checkpoint.server_id, 0) + 1

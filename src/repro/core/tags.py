@@ -98,9 +98,12 @@ class VectorClock:
 
 
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tag:
-    """A write identifier: (vector timestamp, client id)."""
+    """A write identifier: (vector timestamp, client id).
+
+    Slotted: histories and servers hold one per write ever made.
+    """
 
     ts: VectorClock
     client_id: int

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..consistency.history import History, Operation
+from ..consistency.history import History, Operation, compact_value
 from ..core.messages import (
     MigrateInstall,
     ReadRequest,
@@ -361,8 +361,7 @@ class ClientCore(ProtocolCore):
             op.ts = msg.ts
             op.tag = msg.tag
             self._observe_ts(msg.ts)
-            self._pending = None
-            self._emit(OpSettledEffect(op))
+            self._complete(op)
         elif isinstance(msg, ReadReturn) and msg.opid == op.opid:
             self._cancel_retry()
             op.response_time = self.now
@@ -370,9 +369,17 @@ class ClientCore(ProtocolCore):
             op.ts = msg.ts
             op.tag = msg.value_tag
             self._observe_ts(msg.ts)
-            self._pending = None
-            self._emit(OpSettledEffect(op))
+            self._complete(op)
         return self._end()
+
+    def _complete(self, op: Operation) -> None:
+        self._pending = None
+        # nobody re-sends a completed request: keep the value small, and
+        # owned -- a read's value is a view that pins its whole wire frame
+        op.value = compact_value(op.value)
+        if self.history is not None:
+            self.history.record_response(op)
+        self._emit(OpSettledEffect(op))
 
     def _observe_ts(self, ts) -> None:
         if ts is None:

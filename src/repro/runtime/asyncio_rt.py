@@ -12,10 +12,12 @@ Topology
 Each :class:`AsyncioServer` owns one TCP listener.  Three connection kinds
 arrive on it, distinguished by a hello frame:
 
-* ``("hp", i, acked, cfg_epoch)`` -- the *peer data channel* from server
-  ``i``: server ``i`` dials every other server and owns the directed
+* ``("hp", i, acked, cfg_epoch, seq)`` -- the *peer data channel* from
+  server ``i``: server ``i`` dials every other server and owns the directed
   channel ``i -> j``.  Data frames ``("d", seq, msg)`` flow dialer ->
   listener; cumulative acks ``("a", seq)`` flow back on the same socket.
+  ``acked`` and ``seq`` bracket the dialer's unacked tail: a listener
+  whose watermark is outside them resynchronises (see ``_peer_loop``).
   ``cfg_epoch`` is the dialer's membership epoch: a listener that has
   moved to a newer configuration *fences* the connection (rejecting every
   frame it would have carried) after answering with its commit chain
@@ -27,13 +29,30 @@ arrive on it, distinguished by a hello frame:
 Reliable FIFO channels (the paper's network model) are realised per peer
 channel with a small ARQ: the dialer numbers messages, buffers them until
 acked, and replays the unacked tail on every reconnect; the listener
-delivers in sequence order, deduplicates, records the delivery watermark
-*before* handling (so the post-handler checkpoint makes delivery and state
-change atomic), and acks only after the handler's ``PersistEffect`` hit
-stable storage.  Channel state (send seq + unacked tail, receive
-watermarks) rides inside each :class:`~repro.core.snapshot.ServerCheckpoint`
-exactly like the simulator's ARQ transport state, so a restarted server
-resumes its channels without duplicating or dropping protocol messages.
+delivers in sequence order, deduplicates, and records the delivery
+watermark together with the handler's state change.  Channel state (send
+seq + unacked tail, receive watermarks) rides inside each
+:class:`~repro.core.snapshot.ServerCheckpoint` exactly like the simulator's
+ARQ transport state, so a restarted server resumes its channels without
+duplicating or dropping protocol messages.
+
+Durability: group commit behind an output barrier
+-------------------------------------------------
+A handler's ``PersistEffect`` does not touch the disk.  It marks the server
+dirty and schedules one :meth:`AsyncioServer._commit` for the next
+event-loop iteration; everything the handlers of this iteration want to
+send -- client replies, the cumulative ack owed to each peer, peer data
+frames, gossip, reconnect replays and retransmits -- is *held*.  The
+commit writes **one** checkpoint covering everything the iteration
+handled (encoded straight from the live objects, and skipped when the
+state and transport sections are byte-identical to what the file already
+holds), and only then releases the held output, in order.  So no byte
+that reveals a state change or acknowledges a delivered frame leaves the
+process before a checkpoint containing that state and that watermark is
+durable: a client never sees a ``WriteAck`` for a write a crash can
+forget, and a peer never prunes a frame the receiver can lose.  A crash
+between handler and commit drops the held output with the volatile state
+-- nobody saw either.
 
 Time is ``loop.time()`` in milliseconds, so the cores see the same unit the
 simulator uses; effect timers map to ``loop.call_later`` guarded by an
@@ -187,12 +206,26 @@ class FileDurableStore:
     (in ``corruption_reports``) and surfaces as "no checkpoint", so the
     server restarts empty and lets anti-entropy repair pull its state back
     from peers instead of crashing on load.
+
+    Skip-if-unchanged: :meth:`persist` remembers, per server, the digests
+    of the state and transport sections it last made durable, and returns
+    without touching the disk when a checkpoint's digests equal them (an
+    idle GC tick, a duplicate frame, a read that changed nothing).  The
+    meta section carries the checkpoint time and is deliberately left out
+    of the comparison.  ``persist_counts`` counts real writes only,
+    ``skip_counts`` the persists that were skipped.
     """
 
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.persist_counts: dict[int, int] = {}
+        #: persists skipped because the file already held that state
+        self.skip_counts: dict[int, int] = {}
+        #: server -> (state digest, transport digest) of the checkpoint
+        #: this store last made durable; dropped whenever the file may no
+        #: longer be that checkpoint (load, failed verify, wipe)
+        self._durable: dict[int, tuple[bytes, bytes]] = {}
         #: every corruption/truncation ever detected by :meth:`load`
         self.corruption_reports: list[CorruptCheckpoint] = []
         # a crash between tmp-write and rename leaves a stale tmp behind;
@@ -204,21 +237,29 @@ class FileDurableStore:
         return self.root / f"server_{server_id}.ckpt"
 
     @staticmethod
-    def _encode_checkpoint(checkpoint: ServerCheckpoint) -> bytes:
+    def _encode_sections(
+        checkpoint: ServerCheckpoint,
+    ) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+        """The three section payloads (meta, state, transport) + digests."""
         sections = (
             wire.encode((checkpoint.server_id, checkpoint.time)),
             wire.encode(checkpoint.state),
             wire.encode(checkpoint.transport),
         )
+        return sections, tuple(_ckpt_digest(p) for p in sections)
+
+    @staticmethod
+    def _assemble(sections, digests) -> bytes:
         head = _CKPT_MAGIC + _CKPT_U32.pack(len(sections))
         parts = [head]
-        directory = [head]
-        for payload in sections:
-            digest = _ckpt_digest(payload)
+        for payload, digest in zip(sections, digests):
             parts += [_CKPT_U32.pack(len(payload)), digest, payload]
-            directory.append(digest)
-        parts.append(_ckpt_digest(b"".join(directory)))
+        parts.append(_ckpt_digest(head + b"".join(digests)))
         return b"".join(parts)
+
+    @classmethod
+    def _encode_checkpoint(cls, checkpoint: ServerCheckpoint) -> bytes:
+        return cls._assemble(*cls._encode_sections(checkpoint))
 
     @staticmethod
     def _decode_checkpoint(blob: bytes) -> ServerCheckpoint:
@@ -262,17 +303,22 @@ class FileDurableStore:
         return ServerCheckpoint(server_id, time, state, transport)
 
     def persist(self, checkpoint: ServerCheckpoint) -> None:
-        path = self._path(checkpoint.server_id)
+        server_id = checkpoint.server_id
+        sections, digests = self._encode_sections(checkpoint)
+        if self._durable.get(server_id) == digests[1:]:
+            # the file already holds exactly this state
+            self.skip_counts[server_id] = self.skip_counts.get(server_id, 0) + 1
+            return
+        path = self._path(server_id)
         tmp = path.with_suffix(".ckpt.tmp")
         with open(tmp, "wb") as fh:
-            fh.write(self._encode_checkpoint(checkpoint))
+            fh.write(self._assemble(sections, digests))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
         self._fsync_dir()
-        self.persist_counts[checkpoint.server_id] = (
-            self.persist_counts.get(checkpoint.server_id, 0) + 1
-        )
+        self._durable[server_id] = digests[1:]
+        self.persist_counts[server_id] = self.persist_counts.get(server_id, 0) + 1
 
     def _fsync_dir(self) -> None:
         # the rename is only durable once the directory entry is; some
@@ -289,6 +335,10 @@ class FileDurableStore:
             os.close(fd)
 
     def load(self, server_id: int) -> ServerCheckpoint | None:
+        # forget what we believed about the file: a damaged one must be
+        # replaced by the next persist, and rewriting an intact one once
+        # per restart is cheap
+        self._durable.pop(server_id, None)
         path = self._path(server_id)
         if not path.exists():
             return None
@@ -315,6 +365,7 @@ class FileDurableStore:
             self._decode_checkpoint(path.read_bytes())
             return True
         except (ValueError, OSError) as exc:
+            self._durable.pop(server_id, None)  # the heal must rewrite it
             self.corruption_reports.append(
                 CorruptCheckpoint(server_id, str(path), str(exc))
             )
@@ -361,6 +412,7 @@ class FileDurableStore:
 
     def wipe(self, server_id: int) -> None:
         """Simulate disk loss for one server (tests)."""
+        self._durable.pop(server_id, None)
         self._path(server_id).unlink(missing_ok=True)
 
 
@@ -377,17 +429,26 @@ class _PeerChannel:
     duplicates and reorderings are absorbed by the receiver's watermark --
     so chaos costs latency, never correctness.
 
-    Batched flush (``server.batch``, the default): frames surviving chaos
-    land in a per-channel ``_pending`` list instead of going straight to
-    the socket; a flusher task wakes once per event-loop tick, concatenates
-    everything pending into a **single** ``writer.write`` and then applies
-    ``drain()``-based backpressure.  While the transport sits over its
-    high-water mark, *data* frames stop being enqueued entirely -- they are
-    already held by ``unacked`` -- and the flusher replays the skipped tail
-    after the drain completes (the receiver's watermark absorbs any
-    overlap).  Gossip frames are best-effort and are simply shed under
-    pressure.  FIFO order is preserved: ``_pending`` is flushed in append
-    order by the only writer task.
+    Commit barrier: no frame goes from a handler to the socket.  Frames
+    surviving chaos land in ``_pending`` -- *held*: the state change that
+    produced them is not on disk yet -- and ask the server for a commit;
+    the commit calls :meth:`release` once its checkpoint is durable.
+
+    Batched flush (``server.batch``, the default): ``release`` moves the
+    held frames to ``_ready`` and wakes the flusher task, which
+    concatenates everything ready into a **single** ``writer.write`` and
+    then applies ``drain()``-based backpressure.  Two lists, because the
+    flusher wakes one loop iteration after the release, and frames that
+    iteration's handlers append are not durable yet.  With
+    ``server.batch`` off, ``release`` writes each frame on its own
+    instead (the macro benchmark's comparison lane).
+
+    While the transport sits over its high-water mark, *data* frames stop
+    being enqueued entirely -- they are already held by ``unacked`` -- and
+    the flusher replays the skipped tail after the drain completes (the
+    receiver's watermark absorbs any overlap).  Gossip frames are
+    best-effort and are simply shed under pressure.  FIFO order is
+    preserved: both lists keep append order and only the flusher writes.
     """
 
     def __init__(self, server: "AsyncioServer", peer_id: int):
@@ -404,8 +465,10 @@ class _PeerChannel:
         self._rexmit_task: asyncio.Task | None = None
         self._flush_task: asyncio.Task | None = None
         self._stopped = False
-        #: frames awaiting the coalesced per-tick flush (batch mode)
+        #: frames held behind the commit barrier (not yet durable)
         self._pending: list[tuple] = []
+        #: frames released by a commit, awaiting the coalesced flush
+        self._ready: list[tuple] = []
         self._flush_wakeup = asyncio.Event()
         #: transport over its high-water mark; a drain() is in flight
         self._paused = False
@@ -473,9 +536,6 @@ class _PeerChannel:
             # disconnected: data frames stay in unacked and are replayed
             # on reconnect; gossip is best-effort and simply lost
             return
-        if not self.server.batch:
-            self._write_frame(frame)
-            return
         if self._paused:
             # backpressure: the transport is over its high-water mark.
             # Data frames are safe in unacked -- remember the lowest seq
@@ -486,6 +546,19 @@ class _PeerChannel:
                 self._stall_from = frame[1]
             return
         self._pending.append(frame)
+        self.server._schedule_commit()
+
+    def release(self) -> None:
+        """The server's commit made everything in ``_pending`` durable."""
+        frames = self._pending
+        if not frames:
+            return
+        self._pending = []
+        if not self.server.batch:
+            for frame in frames:
+                self._write_frame(frame)
+            return
+        self._ready += frames
         self._flush_wakeup.set()
 
     def _write_frame(self, frame) -> None:
@@ -502,22 +575,21 @@ class _PeerChannel:
             self.server.flushes += 1
 
     async def _flush_loop(self) -> None:
-        """Coalesce pending frames into one write per event-loop tick.
+        """Coalesce released frames into one write per event-loop tick.
 
-        ``_flush_wakeup`` is set by ``_enqueue``; since this task only runs
-        between ticks, every frame produced by one burst of deliveries
-        (e.g. all App/Del broadcasts triggered by a batch of client
-        requests) lands in a single ``writer.write`` of concatenated
-        frames -- one syscall, one TCP segment train, instead of one per
-        frame.
+        ``_flush_wakeup`` is set by ``release``; since this task only runs
+        between ticks, every frame one commit released (e.g. all App/Del
+        broadcasts triggered by a batch of client requests) lands in a
+        single ``writer.write`` of concatenated frames -- one syscall, one
+        TCP segment train, instead of one per frame.
         """
         while not self._stopped:
             await self._flush_wakeup.wait()
             self._flush_wakeup.clear()
-            writer, frames = self.writer, self._pending
+            writer, frames = self.writer, self._ready
             if not frames:
                 continue
-            self._pending = []
+            self._ready = []
             if writer is None:
                 continue  # data frames replay on reconnect; gossip is lost
             try:
@@ -580,6 +652,7 @@ class _PeerChannel:
                             self.server.node_id,
                             self.acked,
                             self.server.core.cfg_epoch,
+                            self.seq,
                         )
                     )
                 )
@@ -588,6 +661,7 @@ class _PeerChannel:
                 # frames queued for the dead connection are stale; the
                 # replay below re-sends everything that still matters
                 self._pending.clear()
+                self._ready.clear()
                 self._stall_from = None
                 self.writer = writer
                 for seq, msg in list(self.unacked):  # replay the unacked tail
@@ -760,8 +834,8 @@ class AsyncioServer:
         self.host = host
         self.port = port
         self.chaos = chaos
-        #: coalesce outbound frames (and acks) per event-loop tick;
-        #: ``False`` restores one write + one ack per frame, kept as the
+        #: coalesce each commit's outbound frames into one write per
+        #: channel; ``False`` writes them one by one, kept as the
         #: comparison lane for the macro benchmark
         self.batch = batch
         #: wire frames put on a socket / single writer.write calls issued;
@@ -790,6 +864,15 @@ class AsyncioServer:
         self._timers: dict[tuple, asyncio.TimerHandle] = {}
         self._arq_view = _ChannelStateView(self)
         self._loop: asyncio.AbstractEventLoop | None = None
+        # -- commit barrier (see ``_commit``) ---------------------------
+        #: durable state changed since the last checkpoint
+        self._dirty = False
+        #: a ``_commit`` is already queued for the next loop iteration
+        self._commit_scheduled = False
+        #: client replies held until the commit: ``(client id, msg)``
+        self._held_replies: list[tuple[int, object]] = []
+        #: cumulative ack owed to each peer: ``src -> its connection``
+        self._held_acks: dict[int, asyncio.StreamWriter] = {}
         self.detector: FailureDetectorCore | None = None
         if detector is not None:
             others = [j for j in range(self.num_servers) if j != self.node_id]
@@ -821,6 +904,9 @@ class AsyncioServer:
         #: hook called as ``on_transition(server_id, peer, kind)``
         self.on_detector_transition = None
         self._audit_log: list[AuditOp] = []
+        #: how many audit records a commit has made durable; the stream
+        #: sends no further, and a crash truncates the log back to here
+        self._audit_durable = 0
         self._audit_task: asyncio.Task | None = None
         #: audit identity (sharded clusters): ``audit_node`` must be
         #: globally unique across shards (seq dedup at the auditor is per
@@ -924,7 +1010,13 @@ class AsyncioServer:
         self._inbound.clear()
         self._clients.clear()
         await asyncio.sleep(0.01)  # let connection handlers observe the close
-        # a crash loses everything not on disk
+        # a crash loses everything not on disk -- and nothing held behind
+        # the barrier was ever visible to anyone
+        self._dirty = False
+        self._commit_scheduled = False
+        self._held_replies.clear()
+        self._held_acks.clear()
+        del self._audit_log[self._audit_durable:]
         self._recv_last = {}
         self._ooo = {}
         self.core.wipe_volatile()
@@ -1008,7 +1100,8 @@ class AsyncioServer:
                     except _CONN_ERRORS:
                         pass
                     return
-                await self._peer_loop(src, reader, writer, epoch, base)
+                sent = hello[4] if len(hello) > 4 else None
+                await self._peer_loop(src, reader, writer, epoch, base, sent)
             elif kind == "hc":
                 self._clients[src] = writer
                 await self._client_loop(src, reader, epoch)
@@ -1020,7 +1113,9 @@ class AsyncioServer:
                 del self._clients[src]
             writer.close()
 
-    async def _peer_loop(self, src, reader, writer, epoch, base=0) -> None:
+    async def _peer_loop(
+        self, src, reader, writer, epoch, base=0, sent=None
+    ) -> None:
         """Deliver data frames from peer ``src`` in order, exactly once.
 
         ``base`` is the peer's highest received ack: everything up to it
@@ -1030,35 +1125,27 @@ class AsyncioServer:
         durable state were persisted *before* their ack, so the gap frames
         provably changed none), waiting for the gap would stall the channel
         forever; fast-forward to ``base`` instead.
+
+        ``sent`` is the highest sequence number the peer has ever used.  A
+        frame only leaves the peer after a checkpoint holding it, so a
+        peer that remembers its disk can never report less than we have
+        delivered: if it does, it is a fresh incarnation (a replacement, a
+        wiped or corrupt disk) numbering from scratch.  Holding on to the
+        dead incarnation's watermark would swallow -- and ack! -- its
+        first frames as duplicates; rewind to ``base`` instead.
         """
         last = self._recv_last.get(src, 0)
+        if sent is not None and sent < last:
+            last = self._recv_last[src] = base
+            self._ooo.pop(src, None)
+            self._persist()
         if base > last:
             self._recv_last[src] = base
+            self._persist()  # the watermark is durable state
             pending = self._ooo.get(src)
             if pending:
                 for seq in [s for s in pending if s <= base]:
                     del pending[seq]
-
-        ack_scheduled = False
-
-        def _flush_ack() -> None:
-            # one cumulative ack per burst of frames: readexactly serves a
-            # whole buffered batch without yielding, so this call_soon
-            # callback runs once the burst is fully delivered *and
-            # persisted* (the persist in _deliver is synchronous) and acks
-            # its final watermark
-            nonlocal ack_scheduled
-            ack_scheduled = False
-            if self._epoch != epoch or self.halted:
-                return
-            try:
-                writer.write(
-                    wire.encode_frame(("a", self._recv_last.get(src, 0)))
-                )
-            except _CONN_ERRORS:  # pragma: no cover - racing disconnect
-                return
-            self.frames_sent += 1
-            self.flushes += 1
 
         while True:
             try:
@@ -1101,19 +1188,16 @@ class AsyncioServer:
                 while last + 1 in pending:
                     last += 1
                     m = pending.pop(last)
-                    # watermark first: the handler's persist then records
-                    # delivery and the resulting state change atomically
+                    # watermark and state change reach disk in the same
+                    # checkpoint: delivery and its effect are atomic
                     self._recv_last[src] = last
+                    self._persist()
                     self.activity += 1
                     self._deliver(src, m)
-            # cumulative ack, sent only after the persist above hit disk
-            if not self.batch:
-                writer.write(wire.encode_frame(("a", last)))
-                self.frames_sent += 1
-                self.flushes += 1
-            elif not ack_scheduled:
-                ack_scheduled = True
-                self._loop.call_soon(_flush_ack)
+            # cumulative, so one ack per peer per commit: the commit
+            # writes the watermark it has just made durable
+            self._held_acks[src] = writer
+            self._schedule_commit()
 
     def _deliver(self, src: int, msg) -> None:
         """Route one in-order data frame to the right core."""
@@ -1295,15 +1379,8 @@ class AsyncioServer:
             if channel is not None:
                 channel.send(msg)
         else:
-            writer = self._clients.get(dst)
-            if writer is not None:
-                try:
-                    writer.write(wire.encode_frame(("m", msg)))
-                except _CONN_ERRORS:  # pragma: no cover - racing disconnect
-                    return
-                self.frames_sent += 1
-                self.flushes += 1
-            # else: client gone; its retry policy re-requests
+            self._held_replies.append((dst, msg))
+            self._schedule_commit()
 
     def _on_timer(self, timer_id: tuple, epoch: int) -> None:
         if epoch != self._epoch or self.halted:
@@ -1327,10 +1404,63 @@ class AsyncioServer:
         self.interpret(self.core.handle_timer(timer_id, self.now()))
 
     def _persist(self) -> None:
-        if self.store is None or self.halted:
+        self._dirty = True
+        self._schedule_commit()
+
+    def _schedule_commit(self) -> None:
+        """Queue one ``_commit`` for the next loop iteration (idempotent).
+
+        asyncio runs only the handles that were ready when an iteration
+        started, so a commit scheduled by the first handler of an
+        iteration runs in the next one, ahead of every reader task the
+        next ``select`` wakes: the batch is what one iteration handled.
+        """
+        if not self._commit_scheduled and not self.halted:
+            self._commit_scheduled = True
+            self._loop.call_soon(self._commit, self._epoch)
+
+    def _commit(self, epoch: int) -> None:
+        """Group commit: one checkpoint, then release the held output.
+
+        The invariant: no byte that reveals a state change, or
+        acknowledges a delivered frame, leaves the process before a
+        checkpoint containing that state *and* that receive watermark has
+        been renamed into place and the directory fsynced.  Client
+        replies, cumulative acks, peer data frames, gossip, replays and
+        retransmits all queue behind this function; audit records become
+        streamable here too.
+        """
+        if epoch != self._epoch or self.halted:
+            return  # scheduled by an incarnation that has since crashed
+        self._commit_scheduled = False
+        if self._dirty:
+            if self.store is not None:
+                self.core.stats.persists += 1
+                self.store.persist(
+                    capture_server_state(self.core, self._arq_view)
+                )
+            self._dirty = False
+        self._audit_durable = len(self._audit_log)
+        replies, self._held_replies = self._held_replies, []
+        for dst, msg in replies:
+            # a client that has gone re-requests through its retry policy
+            self._write_inbound(self._clients.get(dst), ("m", msg))
+        acks, self._held_acks = self._held_acks, {}
+        for src, writer in acks.items():
+            self._write_inbound(writer, ("a", self._recv_last.get(src, 0)))
+        for channel in self._channels.values():
+            channel.release()
+
+    def _write_inbound(self, writer, frame) -> None:
+        """Write one frame on a connection a client or peer dialled."""
+        if writer is None:
             return
-        self.core.stats.persists += 1
-        self.store.persist(capture_server_state(self.core, self._arq_view))
+        try:
+            writer.write(wire.encode_frame(frame))
+        except _CONN_ERRORS:  # pragma: no cover - racing disconnect
+            return
+        self.frames_sent += 1
+        self.flushes += 1
 
     def _scrub_disk(self) -> None:
         """Disk-side scrub: re-verify the at-rest checkpoint each round
@@ -1346,6 +1476,8 @@ class AsyncioServer:
             stats.checkpoints_verified += 1
             return
         stats.checkpoints_corrupt += 1
+        # the failed verify dropped the store's skip-if-unchanged entry,
+        # so the next commit rewrites the file even if nothing changed
         self._persist()
         stats.checkpoints_rewritten += 1
 
@@ -1402,7 +1534,7 @@ class AsyncioServer:
                 writer.write(wire.encode_frame(("ha", self.audit_node)))
                 sent = 0
                 while True:
-                    while sent < len(self._audit_log):
+                    while sent < self._audit_durable:
                         writer.write(
                             wire.encode_frame(("r", self._audit_log[sent]))
                         )

@@ -43,8 +43,6 @@ import asyncio
 import itertools
 from functools import reduce
 
-import numpy as np
-
 from ..core.messages import ViewInstall, ViewInstallAck
 from ..core.server import ServerConfig
 from ..protocol.client_core import RetryPolicy
@@ -314,8 +312,10 @@ class ShardedAsyncioCluster:
             else:
                 mc_dst = await self._migration_client(mv.dst_shard)
                 mc_dst.core.view_version = change.version
+                # a completed read holds its value compacted: widen it
+                # back to field elements before it re-enters the protocol
                 mop = await mc_dst.migrate(
-                    mv.dst_slot, np.array(op.value, copy=True), mv.gen
+                    mv.dst_slot, self.shards[mv.dst_shard].value(op.value), mv.gen
                 )
                 if mop.failed:
                     raise mop.error

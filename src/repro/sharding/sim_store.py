@@ -27,8 +27,6 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 
-import numpy as np
-
 from ..core.cluster import CausalECCluster
 from ..core.messages import ViewInstall
 from ..core.server import ServerConfig
@@ -184,10 +182,10 @@ class ShardedSimStore:
             else:
                 dst = self.shards[mv.dst_shard]
                 mc_dst = self._migration_client(mv.dst_shard)
+                # a completed read holds its value compacted: widen it
+                # back to field elements before it re-enters the protocol
                 mop = dst.execute(
-                    mc_dst.migrate(
-                        mv.dst_slot, np.array(op.value, copy=True), mv.gen
-                    )
+                    mc_dst.migrate(mv.dst_slot, dst.value(op.value), mv.gen)
                 )
                 if mop.failed:
                     raise mop.error

@@ -214,8 +214,8 @@ def run_macro_sweep(
 
     ``rates`` are cluster-wide arrival rates in ops/s, split evenly across
     sites.  With ``compare_unbatched`` an extra lane re-runs the first rate
-    with ``batch=False`` (one write and one ack per frame) so the
-    frames-per-op column shows what the coalesced flush path saves.
+    with ``batch=False`` (one socket write per frame) so the
+    flushes-per-op column shows what the coalesced flush path saves.
     """
     if code is None:
         from ..ec.codes import example1_code

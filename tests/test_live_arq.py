@@ -207,3 +207,48 @@ def test_acked_base_tracked_and_restored():
         await cluster.shutdown()
 
     asyncio.run(run())
+
+
+def test_fresh_incarnation_is_not_mistaken_for_a_duplicate_stream():
+    """A server that lost its disk numbers its frames from 1 again.  Its
+    peers still hold the dead incarnation's receive watermark; they must
+    rewind it (the hello carries the dialer's send sequence) instead of
+    dropping -- and acking, so the sender prunes them -- its first frames
+    as duplicates."""
+    code = example1_code()
+
+    async def run():
+        cluster, client = await _boot(code)
+        for k in range(6):  # the victim's home client makes it send frames
+            op = await client.write(k % code.K, cluster.value(k + 1))
+            assert not op.failed
+        await cluster.quiesce()
+        victim = 0
+        watermarks = {
+            s.node_id: s._recv_last.get(victim, 0)
+            for s in cluster.servers if s.node_id != victim
+        }
+        assert min(watermarks.values()) >= 6
+
+        await client.close()
+        await cluster.kill_server(victim)
+        cluster.store.wipe(victim)  # disk loss: it restarts empty, seq 0
+        await cluster.restart_server(victim)
+        assert all(ch.seq == 0 for ch in cluster.servers[victim]._channels.values())
+
+        writer = await cluster.add_client(victim)
+        op = await writer.write(1, cluster.value(99))
+        assert not op.failed
+        await cluster.quiesce()
+        # the one App per peer was delivered, not swallowed (whether the
+        # protocol then applies a write stamped by a clock that rolled
+        # back to zero is the repair overlay's business, not the ARQ's)
+        for s in cluster.servers:
+            if s.node_id == victim:
+                continue
+            ch = cluster.servers[victim]._channels[s.node_id]
+            assert s._recv_last.get(victim, 0) == ch.seq >= 1
+            assert not ch.unacked
+        await cluster.shutdown()
+
+    asyncio.run(run())

@@ -2,9 +2,9 @@
 
 Regression tests for the throughput-first send path:
 
-* **coalescing** -- frames enqueued in one event-loop tick leave in a
-  single ``writer.write`` of concatenated frames that decodes back to the
-  exact message sequence;
+* **coalescing** -- frames one commit releases leave in a single
+  ``writer.write`` of concatenated frames that decodes back to the exact
+  message sequence (and nothing leaves before the release);
 * **backpressure** -- while the transport sits over its high-water mark
   the channel stops feeding the socket (data frames wait in ``unacked``)
   and replays the skipped tail after ``drain()``, with no loss or
@@ -16,7 +16,8 @@ Regression tests for the throughput-first send path:
   swallowed together with ``CancelledError``.
 
 The channel-level tests drive a :class:`_PeerChannel` against a fake
-``StreamWriter`` with a controllable drain gate and write-buffer size; the
+``StreamWriter`` with a controllable drain gate and write-buffer size, and
+play the server's commit themselves by calling ``release()``; the
 end-to-end test runs a real batched cluster under chaos.
 """
 
@@ -81,6 +82,12 @@ class _StubServer:
     def __init__(self):
         self.frames_sent = 0
         self.flushes = 0
+        self.commits_requested = 0
+
+    def _schedule_commit(self):
+        # the real server checkpoints, then calls release() on every
+        # channel; the tests below call release() when they mean "durable"
+        self.commits_requested += 1
 
 
 def _frames(blobs: list[bytes]) -> list:
@@ -125,7 +132,13 @@ def test_batched_sends_coalesce_into_single_write():
         for m in msgs:
             ch.send(m)
         await asyncio.sleep(0.02)
-        # one tick, one write -- not one write per frame
+        # held behind the barrier: every send asked for a commit, and
+        # nothing reaches the socket until one releases the frames
+        assert stub.commits_requested == 5
+        assert fake.writes == []
+        ch.release()
+        await asyncio.sleep(0.02)
+        # one commit, one write -- not one write per frame
         assert len(fake.writes) == 1
         frames = _frames(fake.writes)
         assert [f[2] for f in frames] == msgs
@@ -146,21 +159,26 @@ def test_backpressure_pauses_enqueue_and_replays_without_loss():
         ch._flush_task = asyncio.ensure_future(ch._flush_loop())
         for k in range(3):
             ch.send(("payload", k))
+        ch.release()
         await asyncio.sleep(0.02)
         # the flusher wrote the first batch, then parked in drain()
         assert ch._paused
         writes_before = len(fake.writes)
         for k in range(3, 6):
             ch.send(("payload", k))
+        ch.release()
         await asyncio.sleep(0.02)
         # over the high-water mark nothing new reaches the socket: the
         # skipped frames wait in unacked, not in an unbounded pending list
         assert len(fake.writes) == writes_before
-        assert not ch._pending
+        assert not ch._pending and not ch._ready
         assert ch._stall_from == 4
-        # the peer drains us; the flusher replays the skipped tail
+        # the peer drains us; the flusher replays the skipped tail, which
+        # queues behind the barrier like any other frame
         fake.transport.buffer_size = 0
         fake.drain_gate.set()
+        await asyncio.sleep(0.02)
+        ch.release()
         await asyncio.sleep(0.02)
         delivered, last = _receive(_frames(fake.writes))
         assert last == 6
@@ -186,6 +204,7 @@ def test_backpressure_under_chaos_drops_no_loss_no_reorder():
                 # squeeze the transport mid-burst
                 fake.drain_gate = asyncio.Event()
                 fake.transport.buffer_size = 1 << 20
+        ch.release()
         await asyncio.sleep(0.03)
         fake.transport.buffer_size = 0
         fake.drain_gate.set()
@@ -193,6 +212,7 @@ def test_backpressure_under_chaos_drops_no_loss_no_reorder():
         loop = asyncio.get_running_loop()
         last = 0
         for _ in range(200):
+            ch.release()
             await asyncio.sleep(0.005)
             _, last = _receive(_frames(fake.writes))
             ch._on_ack(last)
@@ -216,13 +236,16 @@ def test_retransmit_pass_is_age_gated():
         loop = asyncio.get_running_loop()
         ch.send(("payload", 1))
         ch.send(("payload", 2))
+        ch.release()
         sent_before = len(fake.writes)
+        assert sent_before == 2  # unbatched: one write per released frame
         # both frames were transmitted microseconds ago: a pass now must
         # re-send nothing (the old loop re-sent the entire tail)
         assert ch._retransmit_pass(loop.time()) == 0
         assert len(fake.writes) == sent_before
         # once their age exceeds the interval they do go out again
         assert ch._retransmit_pass(loop.time() + RETRANSMIT_INTERVAL) == 2
+        ch.release()
         assert len(fake.writes) == sent_before + 2
         # acked frames leave the tail and the age map
         ch._on_ack(2)

@@ -6,6 +6,10 @@ The live half of the end-to-end integrity story:
   single-bit flip or truncation of a checkpoint file, reports it as a
   typed :class:`~repro.core.snapshot.CorruptCheckpoint`, and surfaces it
   as "no checkpoint" -- never an exception, never silently-wrong state;
+* it skips a persist whose state and transport sections are what the file
+  already holds (an idle cluster does not touch the disk), forgets that
+  belief whenever it reads the file, and its container is byte-identical
+  to the pre-group-commit one;
 * a server restarted from a damaged checkpoint boots empty and the
   anti-entropy overlay pulls its state back within the repair budget,
   under the online causal auditor with zero violations;
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,6 +136,191 @@ def test_file_store_sweeps_stale_tmp_on_boot(tmp_path):
     loaded = reopened.load(ckpt.server_id)
     assert loaded is not None
     assert wire.encode(loaded.state) == wire.encode(ckpt.state)
+
+
+def test_checkpoint_container_is_byte_identical_to_pr12(tmp_path):
+    """The on-disk format did not move: ``tests/data/checkpoint_pr12.ckpt``
+    was written by the encoder as it stood before group commit."""
+    golden = (Path(__file__).parent / "data" / "checkpoint_pr12.ckpt").read_bytes()
+    assert golden.startswith(b"CECKPT01")
+    # a checkpoint the old code wrote loads under the new code ...
+    store = FileDurableStore(tmp_path)
+    (tmp_path / "server_2.ckpt").write_bytes(golden)
+    assert store.verify_file(2) is True
+    loaded = store.load(2)
+    assert loaded is not None and loaded.server_id == 2
+    assert store.corrupt_detected() == 0
+    # ... and the new encoder writes that checkpoint back as the same bytes
+    assert FileDurableStore._encode_checkpoint(loaded) == golden
+    store.persist(loaded)
+    assert (tmp_path / "server_2.ckpt").read_bytes() == golden
+
+
+# ----------------------------------------------------------------------
+# skip-if-unchanged: a persist that would rewrite the same state is free
+
+
+class _FsyncCounter:
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        real = os.fsync
+
+        def fsync(fd):
+            self.calls += 1
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+
+
+def test_file_store_skips_unchanged_state_and_writes_changed(tmp_path, monkeypatch):
+    store = FileDurableStore(tmp_path)
+    ckpt = _checkpoint()
+    fsyncs = _FsyncCounter(monkeypatch)
+    store.persist(ckpt)
+    assert (fsyncs.calls, store.persist_counts[ckpt.server_id]) == (2, 1)
+    written = (tmp_path / f"server_{ckpt.server_id}.ckpt").read_bytes()
+    # same state and transport, later clock reading: nothing to make durable
+    ckpt.time += 50.0
+    store.persist(ckpt)
+    assert (fsyncs.calls, store.persist_counts[ckpt.server_id]) == (2, 1)
+    assert store.skip_counts[ckpt.server_id] == 1
+    assert (tmp_path / f"server_{ckpt.server_id}.ckpt").read_bytes() == written
+    assert not list(tmp_path.glob("*.tmp"))
+    # a change in either compared section is written
+    ckpt.state["_opid_seq"] += 1
+    store.persist(ckpt)
+    assert (fsyncs.calls, store.persist_counts[ckpt.server_id]) == (4, 2)
+    ckpt.transport = {"send": {}, "recv": {0: 1}}
+    store.persist(ckpt)
+    assert (fsyncs.calls, store.persist_counts[ckpt.server_id]) == (6, 3)
+    assert store.load(ckpt.server_id).transport == {"send": {}, "recv": {0: 1}}
+
+
+def test_file_store_forgets_the_file_on_load_failed_verify_and_wipe(tmp_path):
+    store = FileDurableStore(tmp_path)
+    ckpt = _checkpoint()
+    sid = ckpt.server_id
+    store.persist(ckpt)
+    # external damage is invisible to the store until something reads the
+    # file: a persist of the same state is still skipped ...
+    assert store.corrupt_file(sid, seed=5)
+    store.persist(ckpt)
+    assert store.persist_counts[sid] == 1
+    # ... the scrub's verify notices, and then the same state is rewritten
+    assert store.verify_file(sid) is False
+    store.persist(ckpt)
+    assert store.persist_counts[sid] == 2 and store.verify_file(sid) is True
+    # load: typed report, no checkpoint, and the next persist is real
+    assert store.truncate_file(sid, keep_frac=0.3)
+    assert store.load(sid) is None
+    assert isinstance(store.corruption_reports[-1], CorruptCheckpoint)
+    store.persist(ckpt)
+    assert store.persist_counts[sid] == 3 and store.load(sid) is not None
+    store.persist(ckpt)  # (load forgot the file even though it was intact)
+    assert store.persist_counts[sid] == 4
+    store.wipe(sid)
+    store.persist(ckpt)
+    assert store.persist_counts[sid] == 5 and store.verify_file(sid) is True
+
+
+def test_idle_cluster_does_not_touch_the_disk(monkeypatch):
+    code = example1_code()
+
+    async def run():
+        cluster = AsyncioCluster(code, config=ServerConfig(gc_interval=50.0))
+        await cluster.start()
+        client = await cluster.add_client(server=0)
+        op = await client.write(0, cluster.value(3))
+        assert not op.failed
+        await cluster.quiesce()
+        await asyncio.sleep(0.3)  # let GC finish what the write started
+        fsyncs = _FsyncCounter(monkeypatch)
+        ticks = sum(s.core.stats.gc_runs for s in cluster.servers)
+        writes = sum(cluster.store.persist_counts.values())
+        await asyncio.sleep(1.0)
+        idle_fsyncs = fsyncs.calls
+        idle_ticks = sum(s.core.stats.gc_runs for s in cluster.servers) - ticks
+        idle_writes = sum(cluster.store.persist_counts.values()) - writes
+        # a state change after the idle period is written
+        op = await client.write(1, cluster.value(9))
+        assert not op.failed
+        await cluster.quiesce()
+        vc = cluster.servers[0].core.vc
+        on_disk = cluster.store.load(0).state["vc"]
+        await cluster.shutdown()
+        return idle_fsyncs, idle_ticks, idle_writes, fsyncs.calls, vc, on_disk
+
+    idle_fsyncs, idle_ticks, idle_writes, fsyncs, vc, on_disk = asyncio.run(run())
+    assert idle_ticks >= 50  # 5 servers kept ticking (about 20 times each)
+    assert (idle_fsyncs, idle_writes) == (0, 0)
+    assert fsyncs > 0 and on_disk == vc
+
+
+def test_scrub_rewrites_a_rotted_checkpoint_of_an_idle_server():
+    code = example1_code()
+
+    async def run():
+        cluster = AsyncioCluster(
+            code,
+            config=ServerConfig(gc_interval=50.0),
+            scrub=ScrubConfig(interval=60.0),
+        )
+        await cluster.start()
+        client = await cluster.add_client(server=0)
+        op = await client.write(0, cluster.value(3))
+        assert not op.failed
+        await cluster.quiesce()
+        await asyncio.sleep(0.3)
+        victim = cluster.servers[VICTIM]
+        writes = cluster.store.persist_counts[VICTIM]
+        assert cluster.store.corrupt_file(VICTIM, seed=13)
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + 3.0
+        while (
+            victim.scrub.stats.checkpoints_rewritten < 1 or victim._dirty
+        ) and loop.time() < deadline:
+            await asyncio.sleep(0.02)
+        stats = victim.scrub.stats
+        result = (
+            stats.checkpoints_corrupt,
+            stats.checkpoints_rewritten,
+            cluster.store.persist_counts[VICTIM] - writes,
+            cluster.store.corrupt_detected(VICTIM),
+            cluster.store.verify_file(VICTIM),
+        )
+        await cluster.shutdown()
+        return result
+
+    corrupt, rewritten, writes, reports, verifies = asyncio.run(run())
+    assert (corrupt, rewritten) == (1, 1)
+    assert writes == 1, "the heal did not force a real write"
+    assert reports == 1 and verifies is True
+
+
+def test_restart_after_damage_to_an_idle_servers_file_is_typed_and_empty():
+    code = example1_code()
+
+    async def run():
+        cluster = AsyncioCluster(code, config=ServerConfig(gc_interval=50.0))
+        await cluster.start()
+        client = await cluster.add_client(server=0)
+        op = await client.write(0, cluster.value(3))
+        assert not op.failed
+        await cluster.quiesce()
+        # damage while the server is up and idle: nothing rewrites the file
+        assert cluster.store.truncate_file(VICTIM, keep_frac=0.5)
+        await asyncio.sleep(0.2)
+        await cluster.kill_server(VICTIM)
+        await cluster.restart_server(VICTIM)
+        reports = list(cluster.store.corruption_reports)
+        vc = cluster.servers[VICTIM].core.vc
+        await cluster.shutdown()
+        return reports, vc
+
+    reports, vc = asyncio.run(run())
+    assert len(reports) == 1 and isinstance(reports[0], CorruptCheckpoint)
+    assert reports[0].server_id == VICTIM
+    assert vc.lamport == 0, "restart-empty: a corrupt checkpoint is no checkpoint"
 
 
 _CKPT_BLOB = FileDurableStore._encode_checkpoint(_checkpoint())

@@ -1,5 +1,10 @@
 """Property tests for vector clocks and the tag total order."""
 
+import copy
+import dataclasses
+import pickle
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -103,6 +108,24 @@ def test_tag_hashable_and_usable_as_dict_key():
     b = Tag(VectorClock((1, 0)), 3)
     assert a == b and hash(a) == hash(b)
     assert {a: 1}[b] == 1
+
+
+@given(tags)
+def test_slotted_tag_copies_and_pickles_unchanged(t):
+    assert not hasattr(t, "__dict__")
+    for clone in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert clone == t and hash(clone) == hash(t)
+        assert clone.ts == t.ts and clone.client_id == t.client_id
+        assert not (clone < t) and not (t < clone)
+    # deep copies of containers keep shared tags shared
+    pair = copy.deepcopy([t, t])
+    assert pair[0] is pair[1]
+
+
+def test_tag_stays_frozen():
+    t = Tag(VectorClock((1, 0)), 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.client_id = 4
 
 
 def test_tag_max_over_set():

@@ -253,6 +253,16 @@ def test_primitive_roundtrip(payload):
     assert _fields_equal(payload, wire.decode(wire.encode(payload)))
 
 
+@settings(deadline=None)
+@given(tags)
+def test_slotted_tag_roundtrip(t):
+    back = wire.decode(wire.encode(t))
+    assert type(back) is Tag and not hasattr(back, "__dict__")
+    assert back == t and hash(back) == hash(t)
+    assert back.ts.components == t.ts.components
+    assert wire.encode(back) == wire.encode(t)
+
+
 def test_set_encoding_is_order_independent():
     t = [Tag(VectorClock((i, 0)), i) for i in range(5)]
     assert wire.encode(set(t)) == wire.encode(set(reversed(t)))
