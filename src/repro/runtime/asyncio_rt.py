@@ -45,19 +45,21 @@ send -- client replies, the cumulative ack owed to each peer, peer data
 frames, gossip, reconnect replays and retransmits -- is *held*.  The
 commit writes **one** checkpoint covering everything the iteration
 handled (encoded straight from the live objects, and skipped when the
-state and transport sections are byte-identical to what the file already
-holds), and only then releases the held output, in order.  So no byte
-that reveals a state change or acknowledges a delivered frame leaves the
-process before a checkpoint containing that state and that watermark is
-durable: a client never sees a ``WriteAck`` for a write a crash can
-forget, and a peer never prunes a frame the receiver can lose.  A crash
-between handler and commit drops the held output with the volatile state
--- nobody saw either.
+file already holds that state, those send sequence numbers and those
+receive watermarks), and only then releases the held output, in order.
+So no byte that reveals a state change or acknowledges a delivered frame
+leaves the process before a checkpoint containing that state and that
+watermark is durable: a client never sees a ``WriteAck`` for a write a
+crash can forget, and a peer never prunes a frame the receiver can lose.
+A crash between handler and commit drops the held output with the
+volatile state -- nobody saw either.
 
 Time is ``loop.time()`` in milliseconds, so the cores see the same unit the
-simulator uses; effect timers map to ``loop.call_later`` guarded by an
+simulator uses; effect timers map to ``loop.call_at`` guarded by an
 incarnation epoch (a timer armed before a crash never fires into the next
-incarnation).
+incarnation).  The periodic GC tick fires in a fixed per-server slot of its
+period (:meth:`AsyncioServer._gc_slot`), so servers sharing one loop stay
+evenly out of phase.
 """
 
 from __future__ import annotations
@@ -207,12 +209,14 @@ class FileDurableStore:
     server restarts empty and lets anti-entropy repair pull its state back
     from peers instead of crashing on load.
 
-    Skip-if-unchanged: :meth:`persist` remembers, per server, the digests
-    of the state and transport sections it last made durable, and returns
-    without touching the disk when a checkpoint's digests equal them (an
-    idle GC tick, a duplicate frame, a read that changed nothing).  The
-    meta section carries the checkpoint time and is deliberately left out
-    of the comparison.  ``persist_counts`` counts real writes only,
+    Skip-if-unchanged: :meth:`persist` remembers, per server, the state
+    section's digest and the transport section's send sequence numbers
+    and receive watermarks (:meth:`_transport_key`) of the checkpoint it
+    last made durable, and returns without touching the disk when a
+    checkpoint's equal them (an idle GC tick, a duplicate frame, a read
+    that changed nothing, an ack that only trimmed a send log).  The meta
+    section carries the checkpoint time and is deliberately left out of
+    the comparison.  ``persist_counts`` counts real writes only,
     ``skip_counts`` the persists that were skipped.
     """
 
@@ -222,10 +226,10 @@ class FileDurableStore:
         self.persist_counts: dict[int, int] = {}
         #: persists skipped because the file already held that state
         self.skip_counts: dict[int, int] = {}
-        #: server -> (state digest, transport digest) of the checkpoint
-        #: this store last made durable; dropped whenever the file may no
+        #: server -> (state digest, transport key) of the checkpoint this
+        #: store last made durable; dropped whenever the file may no
         #: longer be that checkpoint (load, failed verify, wipe)
-        self._durable: dict[int, tuple[bytes, bytes]] = {}
+        self._durable: dict[int, tuple] = {}
         #: every corruption/truncation ever detected by :meth:`load`
         self.corruption_reports: list[CorruptCheckpoint] = []
         # a crash between tmp-write and rename leaves a stale tmp behind;
@@ -302,11 +306,36 @@ class FileDurableStore:
             raise ValueError(f"checkpoint section undecodable: {exc}") from exc
         return ServerCheckpoint(server_id, time, state, transport)
 
+    @staticmethod
+    def _transport_key(transport, digest: bytes):
+        """What of the transport section a checkpoint must make durable.
+
+        An ack only trims the sender's retransmission log.  A file that
+        still lists the acked frames restores to a channel that replays
+        them once and has them dropped by the receiver's watermark, so a
+        trim alone is not worth a write -- and writing it made the bytes
+        at rest depend on whether a GC tick happened to fall between an
+        ack and whoever looks at the file.  The send sequence numbers and
+        receive watermarks move with every frame sent or delivered; a
+        transport of any other shape is compared by its section digest.
+        """
+        try:
+            return (
+                sorted((j, st["seq"]) for j, st in transport["send"].items()),
+                sorted(transport["recv"].items()),
+            )
+        except (TypeError, KeyError, AttributeError):
+            return digest
+
     def persist(self, checkpoint: ServerCheckpoint) -> None:
         server_id = checkpoint.server_id
         sections, digests = self._encode_sections(checkpoint)
-        if self._durable.get(server_id) == digests[1:]:
-            # the file already holds exactly this state
+        durable = (
+            digests[1],
+            self._transport_key(checkpoint.transport, digests[2]),
+        )
+        if self._durable.get(server_id) == durable:
+            # the file already holds this state (and at least these frames)
             self.skip_counts[server_id] = self.skip_counts.get(server_id, 0) + 1
             return
         path = self._path(server_id)
@@ -317,7 +346,7 @@ class FileDurableStore:
             os.fsync(fh.fileno())
         os.replace(tmp, path)
         self._fsync_dir()
-        self._durable[server_id] = digests[1:]
+        self._durable[server_id] = durable
         self.persist_counts[server_id] = self.persist_counts.get(server_id, 0) + 1
 
     def _fsync_dir(self) -> None:
@@ -1287,8 +1316,11 @@ class AsyncioServer:
             elif cls is ReplyEffect:
                 self._send(e.client_id, e.msg)
             elif cls is SetTimerEffect:
-                handle = self._loop.call_later(
-                    e.delay / 1000.0, self._on_timer, e.timer_id, self._epoch
+                when = self._loop.time() + e.delay / 1000.0
+                if e.timer_id == ("gc",):
+                    when = self._gc_slot(when, e.delay / 1000.0)
+                handle = self._loop.call_at(
+                    when, self._on_timer, e.timer_id, self._epoch
                 )
                 self._timers[e.timer_id] = handle
             elif cls is CancelTimerEffect:
@@ -1305,6 +1337,23 @@ class AsyncioServer:
                 self._on_membership_changed(e)
             else:
                 raise TypeError(f"unknown effect {e!r}")
+
+    def _gc_slot(self, when: float, period: float) -> float:
+        """The GC tick nearest ``when`` in this server's slot of the period.
+
+        The core re-arms its periodic GC ``gc_interval`` after *handling* a
+        tick, so servers that share an event loop drift into phase groups:
+        ticks that once fired in the same loop iteration are re-armed
+        together and stay together.  Which servers end up grouped decides
+        how many of a round's Del notices a receiver absorbs per commit,
+        and it differed from one run to the next (commits per operation,
+        and with them throughput, by 10 %).  Fixed slots -- server ``i``
+        ticks at ``i/N`` of the period on the loop clock -- keep the rounds
+        evenly out of phase however late a tick is handled, and keep the
+        rate exact instead of ``1 / (gc_interval + loop lag)``.
+        """
+        offset = self.node_id * period / self.num_servers
+        return round((when - offset) / period) * period + offset
 
     def interpret_detector(self, effects) -> None:
         """Interpret failure-detector effects (separate send path: gossip)."""

@@ -15,13 +15,17 @@ a checkpoint containing that state and that receive watermark is durable.
   it restarts with the last committed clock, its peers redeliver their
   unacked tails exactly once and its clients' retries are answered; the
   online auditor stays clean over a seeded 200-op run with three such
-  kills.
+  kills;
+* **GC slots** -- the periodic GC tick of server ``i`` fires in slot ``i/N``
+  of the period on the loop clock and stays there when the loop lags, so
+  servers sharing a loop never drift into phase groups.
 """
 
 from __future__ import annotations
 
 import asyncio
 import os
+import time
 
 import numpy as np
 
@@ -405,3 +409,45 @@ def test_crash_between_handler_and_commit_loses_only_what_nobody_saw():
     check_causal_consistency(history, zero)
     check_returns_written_values(history, zero)
     assert len(history.completed()) == len(history) >= 200
+
+
+def test_gc_ticks_keep_to_their_slots_when_the_loop_lags():
+    """Re-arming ``gc_interval`` after *handling* a tick let ticks that once
+    shared a loop iteration stay together for good; which servers were
+    grouped then decided how the round's Del notices batched, run by run."""
+    code = example1_code()
+    period = 0.05
+
+    async def run():
+        cluster = AsyncioCluster(code, config=ServerConfig(gc_interval=period * 1e3))
+        await cluster.start()
+        loop = asyncio.get_running_loop()
+        ticks: dict[int, list[float]] = {s.node_id: [] for s in cluster.servers}
+        for s in cluster.servers:
+            def handle_timer(tid, now, s=s, inner=s.core.handle_timer):
+                if tid == ("gc",):
+                    ticks[s.node_id].append(loop.time())
+                return inner(tid, now)
+
+            s.core.handle_timer = handle_timer
+
+        async def stall():  # a loop that is busy for 15 ms at a time
+            while True:
+                time.sleep(0.015)
+                await asyncio.sleep(0.005)
+
+        staller = asyncio.ensure_future(stall())
+        await asyncio.sleep(1.0)
+        staller.cancel()
+        await cluster.shutdown()
+        return ticks
+
+    ticks = asyncio.run(run())
+    for i, times in ticks.items():
+        offset = i * period / code.N
+        # late by the stall at most, never early (beyond the loop's clock
+        # resolution), never off the grid ...
+        lateness = [(t - offset + 1e-3) % period - 1e-3 for t in times]
+        assert max(lateness) < 0.04, (i, max(lateness))
+        # ... and at the exact rate: lag does not stretch the period
+        assert len(times) >= 18, (i, len(times))

@@ -6,10 +6,11 @@ The live half of the end-to-end integrity story:
   single-bit flip or truncation of a checkpoint file, reports it as a
   typed :class:`~repro.core.snapshot.CorruptCheckpoint`, and surfaces it
   as "no checkpoint" -- never an exception, never silently-wrong state;
-* it skips a persist whose state and transport sections are what the file
-  already holds (an idle cluster does not touch the disk), forgets that
-  belief whenever it reads the file, and its container is byte-identical
-  to the pre-group-commit one;
+* it skips a persist whose state, send sequence numbers and receive
+  watermarks are what the file already holds (an idle cluster does not
+  touch the disk, and the bytes at rest do not depend on when a GC tick
+  fell), forgets that belief whenever it reads the file, and its container
+  is byte-identical to the pre-group-commit one;
 * a server restarted from a damaged checkpoint boots empty and the
   anti-entropy overlay pulls its state back within the repair budget,
   under the online causal auditor with zero violations;
@@ -194,6 +195,88 @@ def test_file_store_skips_unchanged_state_and_writes_changed(tmp_path, monkeypat
     store.persist(ckpt)
     assert (fsyncs.calls, store.persist_counts[ckpt.server_id]) == (6, 3)
     assert store.load(ckpt.server_id).transport == {"send": {}, "recv": {0: 1}}
+
+
+def test_file_store_does_not_rewrite_for_an_ack_that_only_trims_a_send_log(tmp_path):
+    """An ack drops frames from the sender's retransmission log and nothing
+    else.  The file that still lists them restores to a channel that replays
+    them once into the receiver's watermark, so the trim alone is skipped --
+    otherwise the bytes at rest depend on whether a GC tick fell between the
+    ack and whoever looks at the file."""
+    store = FileDurableStore(tmp_path)
+    ckpt = _checkpoint()
+    sid = ckpt.server_id
+    path = tmp_path / f"server_{sid}.ckpt"
+
+    def transport(seq, unacked, watermark):
+        return {"send": {1: {"seq": seq, "unacked": unacked}}, "recv": {1: watermark}}
+
+    ckpt.transport = transport(2, [(1, "a"), (2, "b")], 7)
+    store.persist(ckpt)
+    written = path.read_bytes()
+    for tail in ([(2, "b")], []):  # the peer acks frame 1, then frame 2
+        ckpt.transport = transport(2, tail, 7)
+        store.persist(ckpt)
+    assert (store.persist_counts[sid], store.skip_counts[sid]) == (1, 2)
+    assert path.read_bytes() == written
+    # a frame sent is written, with the log as trimmed by then ...
+    ckpt.transport = transport(3, [(3, "c")], 7)
+    store.persist(ckpt)
+    assert store.persist_counts[sid] == 2
+    assert [tuple(e) for e in store.load(sid).transport["send"][1]["unacked"]] == [
+        (3, "c")
+    ]
+    # ... and so is a frame delivered (load forgot the file: one more write)
+    store.persist(ckpt)
+    ckpt.transport = transport(3, [(3, "c")], 8)
+    store.persist(ckpt)
+    assert store.persist_counts[sid] == 4
+    assert store.load(sid).transport["recv"] == {1: 8}
+
+
+def test_bytes_at_rest_after_a_remote_read_do_not_depend_on_gc_ticks():
+    """A read at a coded server leaves one ValResp per responder in the
+    responders' send logs.  Their acks arrive together with the client's
+    reply, so whether a responder's next (idle) GC tick rewrote its file
+    without the frame used to be a race against whoever measured the
+    directory; now idle ticks leave the files alone."""
+    code = example1_code()
+
+    async def run():
+        cluster = AsyncioCluster(code, config=ServerConfig(gc_interval=20.0))
+        await cluster.start()
+        writer = await cluster.add_client(server=0)
+        for k in range(code.K):
+            assert not (await writer.write(k, cluster.value(k + 1))).failed
+        await cluster.quiesce()
+        await asyncio.sleep(0.2)  # GC settles: history lists are empty
+        reader = await cluster.add_client(server=VICTIM)
+        assert (await reader.read(0)).done
+        responders = [s for s in range(code.N) if s != VICTIM]
+
+        def at_rest():
+            return [
+                (
+                    (cluster.store.root / f"server_{s}.ckpt").stat().st_size,
+                    cluster.store.persist_counts[s],
+                )
+                for s in responders
+            ]
+
+        before = at_rest()
+        ticks = sum(s.core.stats.gc_runs for s in cluster.servers)
+        await asyncio.sleep(0.3)
+        ticks = sum(s.core.stats.gc_runs for s in cluster.servers) - ticks
+        acked = all(
+            not ch.unacked for s in cluster.servers for ch in s._channels.values()
+        )
+        after = at_rest()
+        await cluster.shutdown()
+        return before, after, ticks, acked
+
+    before, after, ticks, acked = asyncio.run(run())
+    assert ticks >= 25 and acked  # every server ticked, every frame was acked
+    assert after == before
 
 
 def test_file_store_forgets_the_file_on_load_failed_verify_and_wipe(tmp_path):
