@@ -152,7 +152,7 @@ class IntraObjectServer(CausalBroadcastServer):
                 self._read_return(client, msg.opid, versions[tag][0], tag)
             else:
                 self._read_return(
-                    client, msg.opid, np.zeros(self.value_len, dtype=np.int64),
+                    client, msg.opid, self.frag_code.field.zeros(self.value_len),
                     self.zero,
                 )
             return
@@ -212,7 +212,7 @@ class IntraObjectServer(CausalBroadcastServer):
             self._pending.pop(pend.opid, None)
             self._read_return(
                 pend.client, pend.opid,
-                np.zeros(self.value_len, dtype=np.int64), self.zero,
+                self.frag_code.field.zeros(self.value_len), self.zero,
             )
         # else: wait for more fragment updates to propagate
 

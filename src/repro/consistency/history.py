@@ -21,14 +21,18 @@ __all__ = ["Operation", "History", "compact_value"]
 def compact_value(value):
     """An owned copy of ``value`` in the narrowest unsigned dtype holding it.
 
-    Field symbols travel as int64 (8 bytes per GF(257) symbol); a history
-    that keeps every operation only needs to compare them, and
-    ``np.array_equal`` is indifferent to dtype.  Anything that is not a
-    non-negative integer array is returned as it came.
+    A read's value arrives as a read-only view that pins the whole wire
+    frame it was decoded from; a history that keeps every operation wants
+    neither the frame nor, for byte-valued payloads over GF(257), the
+    second byte per symbol of the field's uint16 storage dtype -- it only
+    compares values, and ``np.array_equal`` is indifferent to dtype.
+    Values come from the field unsigned, so only a signed array (a client
+    that wrote its own int64) needs the scan for negatives.  Anything that
+    is not a non-negative integer array is returned as it came.
     """
     if not isinstance(value, np.ndarray) or value.dtype.kind not in "iu":
         return value
-    if value.size and int(value.min()) < 0:
+    if value.dtype.kind == "i" and value.size and int(value.min()) < 0:
         return value
     top = int(value.max()) if value.size else 0
     return value.astype(np.min_scalar_type(top))

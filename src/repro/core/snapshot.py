@@ -217,10 +217,29 @@ def restore_server_state(
     if refresh is not None:
         server.cfg_retired = tuple(getattr(server, "cfg_retired", ()))
         refresh()
+    # a checkpoint written before field symbols were kept in the field's
+    # storage dtype holds int64 arrays: narrow them (no copy when already
+    # right) *before* sealing -- the seal is over the symbol's raw bytes
+    _to_storage_dtype(server)
     # the integrity seal covers the *restored* codeword, not the boot-time one
     server.reseal_codeword()
     if transport is not None and checkpoint.transport is not None:
         transport.restore_node(server.node_id, checkpoint.transport)
+
+
+def _to_storage_dtype(server) -> None:
+    """Cast every field-element array of the restored state to the code's
+    storage dtype: the symbol, history-list values, queued ``app`` values
+    and the symbols pending reads have collected."""
+    narrow = server._stored
+    server.M.value = narrow(server.M.value)
+    for hist in server.L.values():
+        for tag, value in hist.items():
+            hist.add(tag, narrow(value))
+    for queued in server.inqueue._entries:
+        queued.value = narrow(queued.value)
+    for entry in server.readl.entries():
+        entry.symbols = {s: narrow(w) for s, w in entry.symbols.items()}
 
 
 @dataclass

@@ -103,7 +103,9 @@ class LinearCode:
 
     def zero_symbol(self, s: int) -> np.ndarray:
         """The all-zero codeword symbol for server ``s`` (shape r_s x vlen)."""
-        return np.zeros((self.symbols_at(s), self.value_len), dtype=self.field.dtype)
+        return np.zeros(
+            (self.symbols_at(s), self.value_len), dtype=self.field.storage_dtype
+        )
 
     def zero_value(self) -> np.ndarray:
         """The zero object value in V."""
@@ -113,21 +115,21 @@ class LinearCode:
     # encoding and re-encoding
 
     def _value_row(self, k: int, v: np.ndarray) -> np.ndarray:
-        arr = np.asarray(v, dtype=self.field.dtype)
+        """``v`` as a (1, value_len) row; its dtype is left to the kernel."""
+        arr = np.asarray(v)
         if arr.shape != (self.value_len,):
             raise ValueError(
                 f"object {k}: value has shape {arr.shape}, "
                 f"expected ({self.value_len},)"
             )
-        return arr
+        return arr[None, :]
 
-    def _values_matrix(
-        self, values: Sequence[np.ndarray], cols: Iterable[int]
-    ) -> np.ndarray:
-        rows = [self._value_row(k, values[k]) for k in cols]
-        if not rows:
+    def _wide_stack(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
+        """Stack 2-D blocks of any integer dtype straight into the field's
+        compute dtype: the kernel's one widening (and realigning) copy."""
+        if not blocks:
             return np.zeros((0, self.value_len), dtype=self.field.dtype)
-        return np.stack(rows)
+        return np.concatenate(blocks, dtype=self.field.dtype, casting="unsafe")
 
     def encode(self, s: int, values: Sequence[np.ndarray]) -> np.ndarray:
         """Phi_s applied to the K object values (each a length-vlen vector).
@@ -140,7 +142,9 @@ class LinearCode:
         cols = self._nz_cols[s]
         if not cols.size:
             return self.zero_symbol(s)
-        return self.field.matmul(self._g_nz[s], np.stack([rows[k] for k in cols]))
+        return self.field.matmul(
+            self._g_nz[s], self._wide_stack([rows[k] for k in cols])
+        )
 
     def encode_all(self, values: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Phi_s for every server at once, via one stacked field-matmul.
@@ -151,7 +155,8 @@ class LinearCode:
         if len(values) != self.K:
             raise ValueError(f"expected {self.K} object values")
         prod = self.field.matmul(
-            self._stacked_g, self._values_matrix(values, range(self.K))
+            self._stacked_g,
+            self._wide_stack([self._value_row(k, values[k]) for k in range(self.K)]),
         )
         off = self._row_offsets
         return [prod[off[s] : off[s + 1]].copy() for s in range(self.N)]
@@ -190,14 +195,7 @@ class LinearCode:
         step); passing ``new_value = 0`` cancels the old contribution (the
         "remove" step).
         """
-        sym = self._check_symbol(s, symbol)
-        delta = self.field.sub(
-            self._value_row(k, new_value), self._value_row(k, old_value)
-        )
-        col = self.matrices[s][:, k]
-        if self.field.is_zero(delta) or not col.any():
-            return sym.copy()
-        return self.field.axpy(col, delta, sym)
+        return self.reencode_many(s, symbol, [(k, old_value, new_value)])
 
     def reencode_many(
         self,
@@ -209,24 +207,24 @@ class LinearCode:
 
         ``updates`` is an iterable of ``(k, old_value, new_value)`` triples;
         the result equals chaining :meth:`reencode` over them in order (the
-        deltas commute), but costs a single field-matmul.
+        deltas commute), but costs a single :meth:`Field.fold` kernel call:
+        ``symbol + G[:, ks] @ (new values - old values)``.
         """
         sym = self._check_symbol(s, symbol)
-        g = self.matrices[s]
         ks: list[int] = []
-        deltas: list[np.ndarray] = []
+        news: list[np.ndarray] = []
+        olds: list[np.ndarray] = []
         for k, old_value, new_value in updates:
-            d = self.field.sub(
-                self._value_row(k, new_value), self._value_row(k, old_value)
-            )
-            if self.field.is_zero(d) or not g[:, k].any():
-                continue
-            ks.append(int(k))
-            deltas.append(d)
+            old, new = self._value_row(k, old_value), self._value_row(k, new_value)
+            if k in self._objects_at[s]:
+                ks.append(int(k))
+                news.append(new)
+                olds.append(old)
         if not ks:
-            return sym.copy()
-        update = self.field.matmul(g[:, ks], np.stack(deltas))
-        return self.field.add(sym, update)
+            return sym.astype(self.field.storage_dtype)
+        return self.field.fold(
+            sym, self.matrices[s][:, ks], np.concatenate(news), np.concatenate(olds)
+        )
 
     def _reencode_reference(
         self,
@@ -239,7 +237,7 @@ class LinearCode:
         """Pre-kernel scalar-loop Gamma_{s,k} (ground truth for tests)."""
         g = self.matrices[s]
         f = self.field
-        out = np.array(symbol, dtype=f.dtype, copy=True)
+        out = np.array(symbol, dtype=f.storage_dtype)
         for j in range(g.shape[0]):
             c = int(g[j, k])
             if c:
@@ -249,7 +247,7 @@ class LinearCode:
         return out
 
     def _check_symbol(self, s: int, symbol: np.ndarray) -> np.ndarray:
-        sym = np.asarray(symbol, dtype=self.field.dtype)
+        sym = np.asarray(symbol)  # shape check only, like _value_row
         expected = (self.symbols_at(s), self.value_len)
         if sym.shape != expected:
             raise ValueError(
@@ -336,10 +334,7 @@ class LinearCode:
     def _stack_symbols(
         self, servers: Sequence[int], symbols: Mapping[int, np.ndarray]
     ) -> np.ndarray:
-        checked = [self._check_symbol(s, symbols[s]) for s in servers]
-        if not checked:
-            return np.zeros((0, self.value_len), dtype=self.field.dtype)
-        return np.vstack(checked)
+        return self._wide_stack([self._check_symbol(s, symbols[s]) for s in servers])
 
     def _decode_reference(
         self, k: int, symbols: Mapping[int, np.ndarray]

@@ -5,7 +5,7 @@ field ``F`` (Sec. 2.2 of the paper).  This module provides two concrete field
 families:
 
 * :class:`PrimeField` -- GF(p) for a prime ``p``, with numpy-vectorised
-  arithmetic on int64 arrays.  The paper's running examples (Example 1, the
+  arithmetic computed in int64.  The paper's running examples (Example 1, the
   (5,3) code of Sec. 1.2) require a field of odd characteristic, for which any
   odd prime works.
 * :class:`BinaryExtensionField` -- GF(2^m) via log/antilog tables, the family
@@ -14,6 +14,21 @@ families:
 Object *values* are represented as 1-D numpy integer arrays whose entries are
 field elements; *scalars* (code coefficients) are plain Python ints in
 ``[0, order)``.  All operations are pure: inputs are never mutated.
+
+Storage dtype and compute dtype
+-------------------------------
+
+A field has two dtypes.  ``storage_dtype`` is the narrowest unsigned dtype
+that holds ``order - 1`` (uint8 for GF(2^m <= 8), uint16 for GF(257) and
+GF(2^9..16), uint32 for a prime above 65 536): it is what field elements are
+*kept* in -- server state, messages, checkpoints, histories.  ``dtype`` is
+the wider type the arithmetic is *done* in (int64 for a prime field, where
+products and negations need the room; uint32 for the table gathers of
+GF(2^m)).  Every vector operation, batched kernel and constructor accepts
+integer arrays of any dtype, widens them to ``dtype`` on entry -- never
+computing in the caller's dtype, where ``-a`` or ``a * c`` on unsigned
+input wraps silently -- and returns ``storage_dtype``.  The widening copy
+also realigns the unaligned read-only views the wire decoder hands out.
 
 Scalar domain rule
 ------------------
@@ -29,7 +44,7 @@ numpy ``IndexError`` or silently produced a wrong codeword.
 Batched kernels
 ---------------
 
-Beyond the elementwise operations, every field exposes three batched kernels
+Beyond the elementwise operations, every field exposes four batched kernels
 that the erasure-coding hot path (:mod:`repro.ec.code`, :mod:`repro.ec.matrix`)
 is built on:
 
@@ -37,7 +52,9 @@ is built on:
 * ``matvec(a, x)`` -- field matrix--vector product;
 * ``axpy(c, x, y)`` -- ``y + c * x`` for a scalar ``c``, or the batched
   row update ``y + outer(c, x)`` when ``c`` is a 1-D coefficient vector
-  (the Gaussian-elimination inner loop).
+  (the Gaussian-elimination inner loop);
+* ``fold(y, a, new, old)`` -- ``y + a @ (new - old)``, the re-encoding step
+  (Definition 4) for a batch of changed objects.
 
 :class:`PrimeField` implements them with a single int64 GEMM plus one modular
 reduction (chunked along the inner dimension when the worst-case partial sum
@@ -73,6 +90,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _storage_dtype(order: int) -> np.dtype:
+    """Narrowest unsigned dtype that holds every element of a field."""
+    return np.dtype(np.min_scalar_type(order - 1))
+
+
 class Field:
     """Abstract finite field interface.
 
@@ -83,7 +105,20 @@ class Field:
 
     order: int
     characteristic: int
+    #: compute dtype: what the kernels widen their inputs to
     dtype: np.dtype
+    #: what every operation returns and field elements are stored and sent
+    #: in; a function of ``order`` alone (:func:`_storage_dtype`)
+    storage_dtype: np.dtype
+
+    def _wide(self, a) -> np.ndarray:
+        """``a`` in the compute dtype (a fresh aligned array unless it
+        already is one)."""
+        return np.asarray(a, dtype=self.dtype)
+
+    def _narrow(self, a: np.ndarray) -> np.ndarray:
+        """A canonical result back in the storage dtype."""
+        return a.astype(self.storage_dtype, copy=False)
 
     # -- scalar domain -----------------------------------------------------
 
@@ -147,7 +182,7 @@ class Field:
         override it with fully batched arithmetic.
         """
         a, b = self._check_matmul_args(a, b)
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=self.dtype)
+        out = np.zeros((a.shape[0], b.shape[1]), dtype=self.storage_dtype)
         for i in range(a.shape[0]):
             acc = self.zeros(b.shape[1])
             for t in range(a.shape[1]):
@@ -159,7 +194,7 @@ class Field:
 
     def matvec(self, a: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Field matrix--vector product of ``a`` (m, k) and ``x`` (k,)."""
-        x = np.asarray(x, dtype=self.dtype)
+        x = self._wide(x)
         if x.ndim != 1:
             raise ValueError("matvec expects a 1-D vector")
         return self.matmul(a, x.reshape(-1, 1))[:, 0]
@@ -171,19 +206,30 @@ class Field:
         one coefficient per row of ``y`` and ``x`` is the (pivot) row being
         folded in.  Pure: returns a new array.
         """
-        x = np.asarray(x, dtype=self.dtype)
-        y = np.asarray(y, dtype=self.dtype)
+        x = self._wide(x)
+        y = self._wide(y)
         if np.ndim(c) == 0:
             return self.add(y, self.scalar_mul(self.check_scalar(c), x))
         c = self.validate(c)
         if c.ndim != 1 or y.shape != (c.shape[0],) + x.shape:
             raise ValueError("axpy shape mismatch")
-        out = np.array(y, copy=True)
+        out = np.array(y, dtype=self.storage_dtype)
         for i in range(c.shape[0]):
             ci = int(c[i])
             if ci:
                 out[i] = self.add(out[i], self.scalar_mul(ci, x))
         return out
+
+    def fold(
+        self, y: np.ndarray, a: np.ndarray, new: np.ndarray, old: np.ndarray
+    ) -> np.ndarray:
+        """``y + a @ (new - old)``: fold a batch of row changes into ``y``.
+
+        The re-encoding kernel (Definition 4): ``y`` is an (m, n) symbol,
+        ``a`` its (m, k) coefficients for the k changed objects, ``new`` and
+        ``old`` their (k, n) values.  Pure: returns a new array.
+        """
+        return self.add(y, self.matmul(a, self.sub(new, old)))
 
     def matmul_reference(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Schoolbook per-element matmul over ``s_add``/``s_mul``.
@@ -193,7 +239,7 @@ class Field:
         never use it on a hot path.
         """
         a, b = self._check_matmul_args(a, b)
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=self.dtype)
+        out = np.zeros((a.shape[0], b.shape[1]), dtype=self.storage_dtype)
         for i in range(a.shape[0]):
             for j in range(b.shape[1]):
                 acc = 0
@@ -205,8 +251,8 @@ class Field:
     def _check_matmul_args(
         self, a: np.ndarray, b: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        a = np.asarray(a, dtype=self.dtype)
-        b = np.asarray(b, dtype=self.dtype)
+        a = self._wide(a)
+        b = self._wide(b)
         if a.ndim != 2 or b.ndim != 2:
             raise ValueError("matmul expects 2-D matrices")
         if a.shape[1] != b.shape[0]:
@@ -219,23 +265,34 @@ class Field:
 
     def zeros(self, n: int) -> np.ndarray:
         """The zero vector of V = F^n."""
-        return np.zeros(n, dtype=self.dtype)
+        return np.zeros(n, dtype=self.storage_dtype)
 
     def is_zero(self, a: np.ndarray) -> bool:
         return not np.any(a)
 
     def validate(self, a: np.ndarray) -> np.ndarray:
-        """Coerce ``a`` to a canonical field-element array, checking range."""
-        arr = np.asarray(a, dtype=self.dtype)
+        """Coerce ``a`` to a canonical field-element array, checking range.
+
+        The range is checked in the dtype ``a`` came in, *before* narrowing
+        to ``storage_dtype`` (a -1 must be rejected, not become 65 535);
+        an array already in the storage dtype is returned as it is.
+        """
+        arr = np.asarray(a)
+        if arr.dtype.kind not in "iu":
+            arr = arr.astype(self.dtype)
         if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= self.order):
             raise ValueError(
                 f"array entries must lie in [0, {self.order}) for {self!r}"
             )
-        return arr
+        return self._narrow(arr)
 
     def random_vector(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """A uniformly random element of V = F^n."""
-        return rng.integers(0, self.order, size=n, dtype=self.dtype)
+        """A uniformly random element of V = F^n.
+
+        Drawn in the compute dtype and narrowed, so a seed yields the same
+        elements whatever the storage dtype.
+        """
+        return self._narrow(rng.integers(0, self.order, size=n, dtype=self.dtype))
 
     def random_scalar(self, rng: np.random.Generator) -> int:
         return int(rng.integers(0, self.order))
@@ -256,6 +313,7 @@ class PrimeField(Field):
         self.order = p
         self.characteristic = p
         self.dtype = np.dtype(np.int64)
+        self.storage_dtype = _storage_dtype(p)
         # int64 multiply of two (p-1) values must not overflow.
         if (p - 1) ** 2 >= 2**63:
             raise ValueError("prime too large for int64 arithmetic")
@@ -280,41 +338,47 @@ class PrimeField(Field):
 
     # vectors
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (a + b) % self.order
+        return self._narrow((self._wide(a) + self._wide(b)) % self.order)
 
     def neg(self, a: np.ndarray) -> np.ndarray:
-        return (-a) % self.order
+        return self._narrow((-self._wide(a)) % self.order)
+
+    def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self._narrow((self._wide(a) - self._wide(b)) % self.order)
 
     def scalar_mul(self, c: int, a: np.ndarray) -> np.ndarray:
-        return (a * self.check_scalar(c)) % self.order
+        return self._narrow((self._wide(a) * self.check_scalar(c)) % self.order)
 
     # batched kernels
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a, b = self._check_matmul_args(a, b)
         inner = a.shape[1]
         if inner <= self._gemm_chunk:
-            return (a @ b) % self.order
+            return self._narrow((a @ b) % self.order)
         out = np.zeros((a.shape[0], b.shape[1]), dtype=self.dtype)
         for lo in range(0, inner, self._gemm_chunk):
             hi = lo + self._gemm_chunk
             out = (out + a[:, lo:hi] @ b[lo:hi]) % self.order
-        return out
+        return self._narrow(out)
 
-    def matvec(self, a: np.ndarray, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=self.dtype)
-        if x.ndim != 1:
-            raise ValueError("matvec expects a 1-D vector")
-        return self.matmul(a, x.reshape(-1, 1))[:, 0]
+    def fold(
+        self, y: np.ndarray, a: np.ndarray, new: np.ndarray, old: np.ndarray
+    ) -> np.ndarray:
+        # one GEMM, one reduction: [I | a | -a] @ [y; new; old]
+        a = self._wide(a)
+        coeff = np.hstack([np.eye(len(a), dtype=self.dtype), a, (-a) % self.order])
+        rows = np.concatenate([y, new, old], dtype=self.dtype, casting="unsafe")
+        return self.matmul(coeff, rows)
 
     def axpy(self, c, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=self.dtype)
-        y = np.asarray(y, dtype=self.dtype)
+        x = self._wide(x)
+        y = self._wide(y)
         if np.ndim(c) == 0:
-            return (y + x * self.check_scalar(c)) % self.order
-        c = self.validate(c)
+            return self._narrow((y + x * self.check_scalar(c)) % self.order)
+        c = self._wide(self.validate(c))
         if c.ndim != 1 or y.shape != (c.shape[0],) + x.shape:
             raise ValueError("axpy shape mismatch")
-        return (y + c[:, None] * x[None, :]) % self.order
+        return self._narrow((y + c[:, None] * x[None, :]) % self.order)
 
 
 #: shared log/antilog tables keyed by (m, primitive_poly) -- building GF(2^16)
@@ -362,6 +426,7 @@ class BinaryExtensionField(Field):
         self.order = 1 << m
         self.characteristic = 2
         self.dtype = np.dtype(np.uint32)
+        self.storage_dtype = _storage_dtype(self.order)
         self._poly = primitive_poly or self._DEFAULT_POLY[m]
         if not _defer_tables:
             self._ensure_tables()
@@ -425,18 +490,19 @@ class BinaryExtensionField(Field):
 
     # vectors
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.bitwise_xor(a, b)
+        return self._narrow(np.bitwise_xor(self._wide(a), self._wide(b)))
 
     def neg(self, a: np.ndarray) -> np.ndarray:
-        return a.copy()
+        return np.array(a, dtype=self.storage_dtype)
 
     def scalar_mul(self, c: int, a: np.ndarray) -> np.ndarray:
         c = self.check_scalar(c)
-        if c == 0:
-            return np.zeros_like(a)
+        a = self._wide(a)
         if c == 1:
-            return a.copy()
-        out = np.zeros_like(a)
+            return a.astype(self.storage_dtype)
+        out = np.zeros(a.shape, dtype=self.storage_dtype)
+        if c == 0:
+            return out
         nz = a != 0
         if np.any(nz):
             out[nz] = self._exp[self._log[a[nz]] + int(self._log[c])]
@@ -461,30 +527,27 @@ class BinaryExtensionField(Field):
                 continue
             contrib = exp[log[col[nzc]][:, None] + log[row[nzr]][None, :]]
             out[np.ix_(nzc, nzr)] ^= contrib
-        return out
+        return self._narrow(out)
 
     def axpy(self, c, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=self.dtype)
-        y = np.asarray(y, dtype=self.dtype)
+        x = self._wide(x)
+        # the accumulator: an owned copy of y in the compute dtype
+        out = np.array(y, dtype=self.dtype)
         exp, log = self._exp, self._log
         if np.ndim(c) == 0:
             c = self.check_scalar(c)
-            out = y.copy()
-            if c == 0:
-                return out
             nz = x != 0
-            if np.any(nz):
+            if c and np.any(nz):
                 out[nz] ^= exp[log[x[nz]] + int(log[c])]
-            return out
+            return self._narrow(out)
         c = self.validate(c)
-        if c.ndim != 1 or y.shape != (c.shape[0],) + x.shape:
+        if c.ndim != 1 or out.shape != (c.shape[0],) + x.shape:
             raise ValueError("axpy shape mismatch")
-        out = y.copy()
         nzc = np.flatnonzero(c)
         nzx = np.flatnonzero(x)
         if nzc.size and nzx.size:
             out[np.ix_(nzc, nzx)] ^= exp[log[c[nzc]][:, None] + log[x[nzx]][None, :]]
-        return out
+        return self._narrow(out)
 
 
 #: lazily-built cached singleton: metadata (order, dtype, ...) is available

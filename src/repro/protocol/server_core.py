@@ -346,6 +346,18 @@ class ServerCore(ProtocolCore):
             return self.code.zero_value()
         return self.L[obj].get(tag)
 
+    def _stored(self, value) -> np.ndarray:
+        """``value`` in the field's storage dtype (itself when it already is).
+
+        How a foreign dtype is normalised on its way into server state: a
+        client may hand over int64, a peer restored from an older checkpoint
+        may still replay int64 frames from its send log, and
+        ``restore_server_state`` applies it to a loaded checkpoint.
+        Everything the server derives from its state is then narrow because
+        the field kernels return the storage dtype.
+        """
+        return np.asarray(value, dtype=self.code.field.storage_dtype)
+
     def _next_opid(self) -> tuple:
         self._opid_seq += 1
         return ("srv", self.node_id, self._opid_seq)
@@ -437,7 +449,9 @@ class ServerCore(ProtocolCore):
             # peers re-deliver old ``app`` messages after anti-entropy has
             # already merged a clock past them.
             if msg.tag.ts[src] > self.vc[src]:
-                self.inqueue.add(InQueueEntry(src, msg.obj, msg.value, msg.tag))
+                self.inqueue.add(
+                    InQueueEntry(src, msg.obj, self._stored(msg.value), msg.tag)
+                )
         elif isinstance(msg, Del):
             self._on_del(src, msg)
         elif isinstance(msg, ValInq):
@@ -616,7 +630,8 @@ class ServerCore(ProtocolCore):
         self.stats.writes += 1
         self.vc = self.vc.increment(self.node_id)
         tag = Tag(self.vc, client)
-        self.L[msg.obj].add(tag, msg.value)
+        value = self._stored(msg.value)
+        self.L[msg.obj].add(tag, value)
         kind = "migrate" if isinstance(msg, MigrateInstall) else "write"
         self._log(kind, msg.obj, _tag_key(tag), msg.opid, client)
         if self.config.record_visibility:
@@ -627,11 +642,11 @@ class ServerCore(ProtocolCore):
         self._client_sessions[client] = (msg.opid, ack)
         self._emit_reply(client, self._sized(ack))
         for j in self._others:
-            self._emit_send(j, self._sized(App(msg.obj, msg.value, tag), 1, 1))
+            self._emit_send(j, self._sized(App(msg.obj, value, tag), 1, 1))
         # clear pending external reads to this object (Alg. 1 lines 7-9)
         for entry in self.readl.for_object(msg.obj):
             if entry.client_id != LOCALHOST:
-                self._respond_read(entry, msg.value, tag)
+                self._respond_read(entry, value, tag)
 
     def _on_read(self, client: int, msg: ReadRequest) -> None:
         self._guard_codeword()  # never decode a reply from a rotted symbol
@@ -910,7 +925,7 @@ class ServerCore(ProtocolCore):
         entry = self.readl.get(msg.opid)
         if entry is None:
             return
-        self._respond_read(entry, msg.value)
+        self._respond_read(entry, self._stored(msg.value))
 
     # ------------------------------------------------------------------
     # Algorithm 3: internal actions

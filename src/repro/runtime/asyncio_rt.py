@@ -178,8 +178,12 @@ def _now_ms(loop: asyncio.AbstractEventLoop) -> float:
     return loop.time() * 1000.0
 
 
-#: checkpoint file magic; the trailing digit is the container version
-_CKPT_MAGIC = b"CECKPT01"
+#: checkpoint file magic; the trailing digits are the container version.
+#: 02 has the layout of 01 -- sections, digests, footer -- but its payloads
+#: use wire v7's compact integer tags, which a build that writes 01 cannot
+#: parse; files of either magic load.
+_CKPT_MAGIC = b"CECKPT02"
+_CKPT_MAGICS = (_CKPT_MAGIC, b"CECKPT01")
 _CKPT_U32 = struct.Struct(">I")
 _CKPT_DIGEST_LEN = 16
 
@@ -271,7 +275,7 @@ class FileDurableStore:
         view = memoryview(blob)
         if len(view) < len(_CKPT_MAGIC) + 4 + _CKPT_DIGEST_LEN:
             raise ValueError("truncated checkpoint header")
-        if view[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
+        if view[: len(_CKPT_MAGIC)] not in _CKPT_MAGICS:
             raise ValueError("bad checkpoint magic")
         pos = len(_CKPT_MAGIC)
         (nsections,) = _CKPT_U32.unpack(view[pos : pos + 4])

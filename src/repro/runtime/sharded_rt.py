@@ -312,8 +312,8 @@ class ShardedAsyncioCluster:
             else:
                 mc_dst = await self._migration_client(mv.dst_shard)
                 mc_dst.core.view_version = change.version
-                # a completed read holds its value compacted: widen it
-                # back to field elements before it re-enters the protocol
+                # the value re-enters the protocol through the destination
+                # shard's field (a range check; it already has its storage dtype)
                 mop = await mc_dst.migrate(
                     mv.dst_slot, self.shards[mv.dst_shard].value(op.value), mv.gen
                 )

@@ -9,14 +9,23 @@ and unpickling attacker-supplied bytes executes code.
 This codec is a small, explicit, recursive tagged-binary format:
 
 * every encoded value starts with a one-byte type tag;
-* integers are 8-byte big-endian two's complement (arbitrary-precision
-  fallback for the rare overflow), floats are IEEE-754 doubles, strings are
-  UTF-8, all length prefixes are unsigned 32-bit big-endian;
+* integers take the shortest of four forms: one byte after the tag for
+  ``0 <= v < 2**8``, two for ``v < 2**16`` (sequence numbers, ids, clock
+  components, class-field counters -- nearly every integer a frame or a
+  checkpoint holds), 8-byte big-endian two's complement otherwise, and an
+  arbitrary-precision fallback for the rare overflow; floats are IEEE-754
+  doubles, strings are UTF-8, all length prefixes are unsigned 32-bit
+  big-endian;
 * containers (tuple/list/dict/set) encode their length then their elements;
   sets are encoded in sorted-bytes order so encoding is deterministic;
-* numpy arrays encode dtype, shape and raw bytes;
+* numpy arrays encode dtype, shape and raw bytes -- self-describing, so an
+  array costs what its dtype costs: field symbols kept in the field's
+  ``storage_dtype`` (uint16 for GF(257), uint8 for GF(256)) travel and
+  rest at that width with no help from the codec;
 * :class:`~repro.core.tags.VectorClock` and :class:`~repro.core.tags.Tag`
-  have dedicated tags (they dominate protocol traffic);
+  have dedicated tags (they dominate protocol traffic); a clock whose
+  components all fit one (two) bytes is a count byte plus one (two) bytes
+  per component, anything else 8 bytes per component;
 * registered classes -- every ``core/messages.py`` dataclass plus the
   durable-state containers -- encode as a class id followed by their fields
   in an **explicit registered order**.  Field order is part of the wire
@@ -133,7 +142,14 @@ __all__ = [
 #: advertise the dialer's membership ``cfg_epoch``, and AuditOp gains a
 #: trailing ``epoch`` field so decision identity survives an epoch-fenced
 #: server replacement (the replacement restarts its record sequence).
-WIRE_VERSION = 6
+#: v7 (compact integers): non-negative ints below 2**8 / 2**16 encode in
+#: 2 / 3 bytes (``_T_UINT8`` / ``_T_UINT16``) and vector clocks whose
+#: components all do in ``2 + n`` / ``2 + 2n`` bytes (``_T_VC8`` /
+#: ``_T_VC16``).  Every v6 type tag still *decodes* -- ``_T_INT`` and
+#: ``_T_VC`` are still what large values encode as -- so v2-era bodies and
+#: ``CECKPT01`` checkpoints load; a v6 node cannot parse the new tags, so
+#: frames reject the old version byte.  ndarrays needed no change.
+WIRE_VERSION = 7
 
 #: Frames larger than this are rejected before allocation (corrupt length
 #: words must not trigger multi-gigabyte reads).
@@ -172,13 +188,22 @@ _T_NDARRAY = 0x0C
 _T_VC = 0x0D
 _T_TAG = 0x0E
 _T_OBJ = 0x0F  # u16 class id + fields in registered order
+_T_UINT8 = 0x10  # one unsigned byte
+_T_UINT16 = 0x11  # 2-byte big-endian unsigned
+_T_VC8 = 0x12  # u8 length + one unsigned byte per component
+_T_VC16 = 0x13  # u8 length + 2-byte big-endian unsigned per component
 
 _U32 = struct.Struct(">I")
 _U16 = struct.Struct(">H")
 _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
+_TAGGED_U16 = struct.Struct(">BH")
+_TAGGED_I64 = struct.Struct(">Bq")
 
 _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
+
+#: the encoding of every int below 2**8, precomputed
+_SMALL_INT = tuple(bytes((_T_UINT8, v)) for v in range(256))
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +313,12 @@ def _encode_into(out: list[bytes | memoryview], obj: Any) -> None:
         out.append(bytes([_T_FALSE]))
     elif isinstance(obj, (int, np.integer)):  # bools were handled above
         v = int(obj)
-        if _I64_MIN <= v <= _I64_MAX:
-            out.append(bytes([_T_INT]) + _I64.pack(v))
+        if 0 <= v < 256:
+            out.append(_SMALL_INT[v])
+        elif 0 <= v < 65536:
+            out.append(_TAGGED_U16.pack(_T_UINT16, v))
+        elif _I64_MIN <= v <= _I64_MAX:
+            out.append(_TAGGED_I64.pack(_T_INT, v))
         else:
             raw = v.to_bytes((v.bit_length() + 8) // 8, "big", signed=True)
             out.append(bytes([_T_BIGINT]) + _U32.pack(len(raw)) + raw)
@@ -329,9 +358,18 @@ def _encode_into(out: list[bytes | memoryview], obj: Any) -> None:
         out.append(_U32.pack(raw.nbytes))
         out.append(raw)
     elif isinstance(obj, VectorClock):
-        out.append(bytes([_T_VC]) + _U32.pack(len(obj.components)))
-        for c in obj.components:
-            out.append(_I64.pack(c))
+        comps = obj.components
+        n = len(comps)
+        # a count byte and unsigned components, or only the 8-byte form fits
+        top = max(comps) if 0 < n < 256 and min(comps) >= 0 else 1 << 16
+        if top < 256:
+            out.append(bytes((_T_VC8, n, *comps)))
+        elif top < 1 << 16:
+            out.append(struct.pack(f">BB{n}H", _T_VC16, n, *comps))
+        else:
+            out.append(bytes([_T_VC]) + _U32.pack(n))
+            for c in comps:
+                out.append(_I64.pack(c))
     elif isinstance(obj, Tag):
         out.append(bytes([_T_TAG]))
         _encode_into(out, obj.ts)
@@ -379,6 +417,10 @@ class _Reader:
 
 def _decode_from(r: _Reader) -> Any:
     tag = r.take(1)[0]
+    if tag == _T_UINT8:
+        return r.take(1)[0]
+    if tag == _T_UINT16:
+        return _U16.unpack(r.take(2))[0]
     if tag == _T_NONE:
         return None
     if tag == _T_TRUE:
@@ -416,6 +458,11 @@ def _decode_from(r: _Reader) -> Any:
         # decoded values are treated as immutable everywhere (the field
         # kernels are pure); callers that must mutate copy explicitly.
         return np.frombuffer(raw, dtype=np.dtype(dtype)).reshape(shape)
+    if tag == _T_VC8:
+        return VectorClock(tuple(r.take(r.take(1)[0])))
+    if tag == _T_VC16:
+        n = r.take(1)[0]
+        return VectorClock(struct.unpack(f">{n}H", r.take(2 * n)))
     if tag == _T_VC:
         n = r.u32()
         return VectorClock(tuple(_I64.unpack(r.take(8))[0] for _ in range(n)))

@@ -182,8 +182,8 @@ class ShardedSimStore:
             else:
                 dst = self.shards[mv.dst_shard]
                 mc_dst = self._migration_client(mv.dst_shard)
-                # a completed read holds its value compacted: widen it
-                # back to field elements before it re-enters the protocol
+                # the value re-enters the protocol through the destination
+                # shard's field (a range check; it already has its storage dtype)
                 mop = dst.execute(
                     mc_dst.migrate(mv.dst_slot, dst.value(op.value), mv.gen)
                 )

@@ -35,9 +35,11 @@ def encode_unique_value(cluster, counter: int) -> np.ndarray:
     code = getattr(cluster, "code", None)
     if code is not None:
         vlen, order = code.value_len, code.field.order
+        out = code.field.zeros(vlen)
     else:
+        # baselines without a code hold opaque integers, not field elements
         vlen, order = getattr(cluster, "value_len", 1), 1 << 31
-    out = np.zeros(vlen, dtype=np.int64)
+        out = np.zeros(vlen, dtype=np.int64)
     c = counter
     for i in range(vlen):
         out[i] = c % order

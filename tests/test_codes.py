@@ -52,7 +52,9 @@ def test_example1_reencoding_gamma52():
     y5 = code.encode(4, xs)
     new_x2 = f.random_vector(rng, 1)
     got = code.reencode(4, y5, 1, xs[1], new_x2)
-    manual = (y5[0] - 2 * xs[1] + 2 * new_x2) % 7
+    # field elements come back unsigned: do the integer arithmetic wide
+    wide = [np.asarray(a, dtype=np.int64) for a in (y5[0], xs[1], new_x2)]
+    manual = (wide[0] - 2 * wide[1] + 2 * wide[2]) % 7
     assert np.array_equal(got[0], manual)
 
 

@@ -63,6 +63,12 @@ def test_compact_value_is_the_narrowest_unsigned_copy():
     empty = compact_value(np.array([], dtype=np.int64))
     assert empty.size == 0
     # nothing it cannot hold exactly is touched
+    # what the field hands over: unsigned, possibly a view pinning a frame
+    view = wire.decode(wire.encode(np.array([7, 255, 0], dtype=np.uint16)))
+    assert view.base is not None
+    small = compact_value(view)
+    assert small.dtype == np.uint8 and small.tolist() == [7, 255, 0]
+    assert small.flags.owndata and small.base is None
     negative = np.array([-1, 5], dtype=np.int64)
     assert compact_value(negative) is negative
     floats = np.array([1.5])

@@ -9,8 +9,9 @@ The live half of the end-to-end integrity story:
 * it skips a persist whose state, send sequence numbers and receive
   watermarks are what the file already holds (an idle cluster does not
   touch the disk, and the bytes at rest do not depend on when a GC tick
-  fell), forgets that belief whenever it reads the file, and its container
-  is byte-identical to the pre-group-commit one;
+  fell), forgets that belief whenever it reads the file, and still loads
+  the ``CECKPT01``/int64 files older builds wrote -- one golden file, and
+  a whole cluster restarted on such files -- rewriting them compact;
 * a server restarted from a damaged checkpoint boots empty and the
   anti-entropy overlay pulls its state back within the repair budget,
   under the online causal auditor with zero violations;
@@ -29,6 +30,7 @@ import asyncio
 import os
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,13 +39,20 @@ from repro.consistency.causal import (
     check_returns_written_values,
 )
 from repro.core.cluster import CausalECCluster
-from repro.core.snapshot import CorruptCheckpoint, capture_server_state
+from repro.core.messages import ReadRequest
+from repro.core.snapshot import (
+    CorruptCheckpoint,
+    capture_server_state,
+    restore_server_state,
+)
+from repro.core.tags import Tag, VectorClock
 from repro.ec.codes import example1_code, six_dc_code
 from repro.protocol.client_core import RetryPolicy
+from repro.protocol.effects import ReplyEffect
 from repro.protocol.failure_detector import FailureDetectorConfig
 from repro.protocol.repair_core import RepairConfig
 from repro.protocol.scrub_core import ScrubConfig
-from repro.protocol.server_core import ServerConfig
+from repro.protocol.server_core import ServerConfig, ServerCore
 from repro.runtime import wire
 from repro.runtime.asyncio_rt import AsyncioCluster, FileDurableStore
 from repro.runtime.auditor import OnlineAuditor
@@ -51,6 +60,8 @@ from repro.runtime.chaos_rt import LiveFaultInjector
 from repro.runtime.live_chaos import run_live_chaos
 from repro.sim.chaos import ChaosConfig
 from repro.sim.network import LinkFaults
+
+from tests.legacy_v6 import checkpoint_v6
 
 VICTIM = 4
 
@@ -139,9 +150,28 @@ def test_file_store_sweeps_stale_tmp_on_boot(tmp_path):
     assert wire.encode(loaded.state) == wire.encode(ckpt.state)
 
 
-def test_checkpoint_container_is_byte_identical_to_pr12(tmp_path):
-    """The on-disk format did not move: ``tests/data/checkpoint_pr12.ckpt``
-    was written by the encoder as it stood before group commit."""
+def _plain(obj):
+    """Checkpoint content as plain data: arrays as lists (so equal symbols
+    compare equal whatever dtype holds them), containers by their fields."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (Tag, VectorClock)) or obj is None:
+        return obj
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    names = getattr(type(obj), "__slots__", None) or getattr(obj, "__dict__", None)
+    if names:
+        return (type(obj).__name__, [_plain(getattr(obj, n)) for n in names])
+    return obj
+
+
+def test_pr12_checkpoint_loads_serves_and_is_rewritten_compact(tmp_path):
+    """``tests/data/checkpoint_pr12.ckpt`` was written by the encoder as it
+    stood before group commit: ``CECKPT01``, 9-byte integers, the symbol as
+    int64.  It still loads; the server restored from it serves its object;
+    the next persist writes the compact form of the same state."""
     golden = (Path(__file__).parent / "data" / "checkpoint_pr12.ckpt").read_bytes()
     assert golden.startswith(b"CECKPT01")
     # a checkpoint the old code wrote loads under the new code ...
@@ -151,10 +181,120 @@ def test_checkpoint_container_is_byte_identical_to_pr12(tmp_path):
     loaded = store.load(2)
     assert loaded is not None and loaded.server_id == 2
     assert store.corrupt_detected() == 0
-    # ... and the new encoder writes that checkpoint back as the same bytes
-    assert FileDurableStore._encode_checkpoint(loaded) == golden
-    store.persist(loaded)
-    assert (tmp_path / "server_2.ckpt").read_bytes() == golden
+    assert loaded.state["M"].value.dtype == np.int64
+    # ... restores to a server whose symbol is narrow *and* sealed as such
+    code = example1_code()
+    core = ServerCore(2, code)
+    restore_server_state(core, loaded)
+    assert core.M.value.dtype == code.field.storage_dtype
+    assert core.verify_codeword()
+    # ... which serves every object it can decode alone (server 2 holds X3)
+    for obj in sorted(core.objects):
+        effects = core.handle_message(9, ReadRequest((9, obj), obj), 1.0)
+        (reply,) = [e.msg for e in effects if type(e) is ReplyEffect]
+        assert reply.value.dtype == code.field.storage_dtype
+        assert reply.value.tolist() == loaded.state["M"].value[0].tolist()
+    assert core.stats.integrity_quarantines == 0
+    # ... and whose next persist writes the same state in the compact form
+    store.persist(capture_server_state(core))
+    rewritten = (tmp_path / "server_2.ckpt").read_bytes()
+    assert rewritten.startswith(b"CECKPT02")
+    assert len(rewritten) < len(golden) / 2
+    again = store.load(2)
+    assert store.corrupt_detected() == 0
+    assert _plain(again.state) == _plain(loaded.state)
+    assert again.state["M"].value.dtype == code.field.storage_dtype
+
+
+def test_cluster_upgrades_in_place_from_int64_ckpt01_files(tmp_path):
+    """Five servers are killed, every checkpoint file is replaced by what a
+    PR-13 build would have written for the same state (``CECKPT01``, v6
+    integers, int64 symbols) and the servers are restarted: nothing is
+    reported corrupt, nothing is quarantined (the seal is taken over the
+    *narrowed* symbol), every read is right, and the auditor stays clean."""
+    code = example1_code(value_len=8)
+    rng = np.random.default_rng(21)
+
+    async def run():
+        auditor = OnlineAuditor()
+        await auditor.start()
+        cluster = AsyncioCluster(
+            code,
+            config=ServerConfig(gc_interval=20.0),
+            store_dir=tmp_path,
+            retry=RetryPolicy(timeout=300.0, max_retries=8),
+            audit_addr=auditor.address,
+        )
+        await cluster.start()
+        clients = [await cluster.add_client(server=s) for s in range(code.N)]
+        written = {}
+        for i in range(12):
+            value = cluster.value(rng.integers(0, 257, code.value_len))
+            op = await clients[i % 3].write(i % code.K, value)
+            assert not op.failed
+            written[i % code.K] = value
+        op = await clients[4].read(1)  # a remote read leaves ValResps behind
+        assert not op.failed
+        await cluster.quiesce()
+        clocks = [s.core.vc for s in cluster.servers]
+        for s in range(code.N):
+            await cluster.kill_server(s)
+        sizes = []
+        for s in range(code.N):
+            path = tmp_path / f"server_{s}.ckpt"
+            new = path.read_bytes()
+            old = checkpoint_v6(FileDurableStore._decode_checkpoint(new))
+            assert old.startswith(b"CECKPT01")
+            path.write_bytes(old)
+            sizes.append((len(new), len(old)))
+        for s in range(code.N):
+            await cluster.restart_server(s)
+        assert [s.core.vc for s in cluster.servers] == clocks
+        # every restored array is narrow before anything new is written
+        dtypes = {s.core.M.value.dtype for s in cluster.servers} | {
+            value.dtype
+            for s in cluster.servers
+            for hist in s.core.L.values()
+            for _, value in hist.items()
+        }
+        reads = []
+        for s in range(code.N):
+            probe = await cluster.add_client(server=s)
+            for k in range(code.K):
+                op = await probe.read(k)
+                assert not op.failed
+                reads.append((k, op.value))
+        # one more write per object goes through every restored symbol
+        for k in range(code.K):
+            value = cluster.value(rng.integers(0, 257, code.value_len))
+            assert not (await clients[k].write(k, value)).failed
+            written[k] = value
+        await cluster.quiesce()
+        for s in (3, 4):
+            for k in range(code.K):
+                op = await clients[s].read(k)
+                assert not op.failed
+                reads.append((k, op.value))
+                assert np.array_equal(op.value, written[k])
+        await cluster.quiesce()
+        quarantines = sum(s.core.stats.integrity_quarantines for s in cluster.servers)
+        reports = list(cluster.store.corruption_reports)
+        await asyncio.sleep(0.1)  # let the audit streams drain
+        violations = auditor.finalize()
+        history = cluster.history
+        await cluster.shutdown()
+        await auditor.close()
+        return sizes, reads, dtypes, quarantines, reports, violations, history
+
+    sizes, reads, dtypes, quarantines, reports, violations, history = asyncio.run(run())
+    assert all(old > 2 * new for new, old in sizes), sizes
+    assert reports == [] and quarantines == 0
+    assert dtypes == {code.field.storage_dtype}
+    assert violations == []
+    zero = code.zero_value()
+    check_causal_consistency(history, zero)
+    check_returns_written_values(history, zero)
+    assert len(reads) == code.N * code.K + 2 * code.K
 
 
 # ----------------------------------------------------------------------

@@ -41,6 +41,8 @@ from repro.core.tags import Tag, VectorClock
 from repro.ec.codes import example1_code
 from repro.runtime import wire
 
+from tests.legacy_v6 import encode_v6
+
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -358,8 +360,8 @@ def test_version_mismatch_rejected():
 
 def test_prior_version_frames_rejected():
     """Frames stamped with any previous codec version must not decode."""
-    assert wire.WIRE_VERSION == 6
-    for old in (2, 3, 4, 5):
+    assert wire.WIRE_VERSION == 7
+    for old in (2, 3, 4, 5, 6):
         frame = bytearray(wire.encode_frame(ReadRequest(("c", 1), 0)))
         frame[4] = old
         with pytest.raises(wire.WireError, match="version"):
@@ -367,19 +369,105 @@ def test_prior_version_frames_rejected():
 
 
 def test_v2_era_body_still_decodes():
-    """v2 -> v3 only *added* class ids 11-13: the body encoding of every
-    pre-existing message is unchanged, pinned here byte-for-byte so a
-    change that silently breaks old checkpoints fails this test."""
+    """v2 .. v6 wrote every integer as ``_T_INT`` and every clock as
+    ``_T_VC``; v7 writes small ones shorter but must keep *reading* the old
+    tags, or checkpoints and send logs written before it stop loading.  The
+    body below was recorded from the v2 encoder, byte for byte."""
     msg = App(2, np.array([7, 0, 3], dtype=np.int64), Tag(VectorClock((1, 0, 2)), 4))
     msg.size_bits = 96.0
-    body = wire.encode(msg)
-    assert body.hex() == (
+    old_body = bytes.fromhex(
         "0f00050300000000000000020c06000000033c69380800000001030000000000"
         "000003000000180700000000000000000000000000000003000000000000000e"
         "0d00000003000000000000000100000000000000000000000000000002030000"
         "000000000004054058000000000000"
-    ), "pre-existing message encoding changed: v2-era bodies would break"
+    )
+    assert_message_equal(wire.decode(old_body), msg)
+    # the tests' copy of the old encoder is that encoder
+    assert encode_v6(msg) == old_body
+    # and what v7 writes for the same message is the same message, shorter
+    body = wire.encode(msg)
+    assert len(body) < len(old_body)
     assert_message_equal(wire.decode(body), msg)
+
+
+# ---------------------------------------------------------------------------
+# v7: compact integers and clocks
+
+@pytest.mark.parametrize(
+    "value, size",
+    [(-1, 9), (0, 2), (255, 2), (256, 3), (65_535, 3), (65_536, 9),
+     (2**31, 9), (2**63 - 1, 9), (-(2**63), 9), (2**70, 14)],
+)
+def test_int_roundtrip_and_width(value, size):
+    data = wire.encode(value)
+    back = wire.decode(data)
+    assert type(back) is int and back == value
+    assert len(data) == size
+    # the old fixed-width form of the same value still decodes
+    assert wire.decode(encode_v6(value)) == value
+
+
+def test_numpy_integer_scalars_encode_as_ints_and_bools_stay_bools():
+    for scalar in (np.int64(5), np.uint8(255), np.uint16(256), np.int32(-7),
+                   np.uint64(2**63)):
+        back = wire.decode(wire.encode(scalar))
+        assert type(back) is int and back == int(scalar)
+        assert wire.encode(scalar) == wire.encode(int(scalar))
+    for flag in (True, False):
+        data = wire.encode(flag)
+        assert len(data) == 1 and wire.decode(data) is flag
+    # 0/1 next to False/True in one container keep their types
+    assert [type(x) for x in wire.decode(wire.encode([0, False, 1, True]))] == [
+        int, bool, int, bool,
+    ]
+
+
+def test_vector_clock_widths():
+    for comps, size in (
+        ((1, 2, 3, 4, 5), 2 + 5),        # every component < 2**8
+        ((1, 255, 256, 4, 5), 2 + 10),   # one needs two bytes: all get two
+        ((65_535,) * 5, 2 + 10),
+        ((65_536, 1), 5 + 16),           # >= 2**16: the 8-byte form
+        ((2**40, 0, 7), 5 + 24),
+        (tuple(range(300)), 5 + 300 * 8),  # too long for a count byte
+        ((), 5),
+    ):
+        vc = VectorClock(comps)
+        data = wire.encode(vc)
+        assert len(data) == size, comps
+        back = wire.decode(data)
+        assert back == vc and back.components == comps
+        assert back.lamport == vc.lamport
+        assert wire.decode(encode_v6(vc)) == vc
+
+
+def test_tag_and_del_frame_sizes():
+    """What the metadata-dominated workloads are made of: a tag says five
+    small numbers and an id (60 B in v6), a one-tag ``Del`` frame little
+    more (v6: 108 B).  Clocks stay below 2**8 for the first few hundred
+    writes per server and below 2**16 for any benchmark window."""
+    young = Tag(VectorClock((200, 17, 0, 4, 255)), 1007)
+    grown = Tag(VectorClock((300, 17, 0, 4, 255)), 1007)
+    assert len(wire.encode(young)) <= 12 and len(wire.encode(grown)) <= 20
+    for tag, saved in ((young, 0.5), (grown, 0.45)):
+        msg = Del(1, tag)
+        msg.size_bits = 0.0
+        frame = wire.encode_frame(("d", 41, msg))
+        v6_frame_len = 4 + 6 + len(encode_v6(("d", 41, msg)))
+        assert len(frame) <= v6_frame_len * (1 - saved)
+        assert wire.decode_frame(frame)[2].tag == tag
+
+
+def test_same_object_same_bytes_with_variable_width_ints():
+    """Sets are written in sorted *encoded* order; variable-width integers
+    change that order, not its determinism."""
+    a = {1, 255, 256, 65_535, 65_536, -1, 2**70}
+    b = set(sorted(a, reverse=True))
+    assert wire.encode(a) == wire.encode(b)
+    assert wire.decode(wire.encode(a)) == a
+    tags_a = {Tag(VectorClock((i * 90, 0)), i) for i in range(6)}
+    assert wire.encode(tags_a) == wire.encode(set(reversed(sorted(tags_a))))
+    assert wire.decode(wire.encode(tags_a)) == tags_a
 
 
 def test_truncated_data_rejected():
