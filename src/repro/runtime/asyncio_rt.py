@@ -36,23 +36,29 @@ seq + unacked tail, receive watermarks) rides inside each
 ARQ transport state, so a restarted server resumes its channels without
 duplicating or dropping protocol messages.
 
-Durability: group commit behind an output barrier
--------------------------------------------------
+Durability: pipelined group commit behind an output barrier
+-----------------------------------------------------------
 A handler's ``PersistEffect`` does not touch the disk.  It marks the server
-dirty and schedules one :meth:`AsyncioServer._commit` for the next
-event-loop iteration; everything the handlers of this iteration want to
-send -- client replies, the cumulative ack owed to each peer, peer data
-frames, gossip, reconnect replays and retransmits -- is *held*.  The
-commit writes **one** checkpoint covering everything the iteration
-handled (encoded straight from the live objects, and skipped when the
-file already holds that state, those send sequence numbers and those
-receive watermarks), and only then releases the held output, in order.
-So no byte that reveals a state change or acknowledges a delivered frame
-leaves the process before a checkpoint containing that state and that
-watermark is durable: a client never sees a ``WriteAck`` for a write a
-crash can forget, and a peer never prunes a frame the receiver can lose.
-A crash between handler and commit drops the held output with the
-volatile state -- nobody saw either.
+dirty and asks for one :meth:`AsyncioServer._commit`; everything the
+handlers want to send -- client replies, the cumulative ack owed to each
+peer, peer data frames, gossip, reconnect replays and retransmits -- is
+*held*.  A commit is three steps.  *Snapshot*, on the loop: encode **one**
+checkpoint covering everything handled so far straight from the live
+objects (skipped when the file already holds that state, those send
+sequence numbers and those receive watermarks) and, in the same callback,
+detach everything held at that instant into one batch -- each ack with the
+watermark the snapshot holds.  *Disk*, on a worker thread: temp write,
+fsync, rename, directory fsync of the encoded bytes, while the loop goes on
+handling events (of this server and of the others sharing the loop), whose
+output is held for the next commit; at most one commit is in flight per
+server, so batches grow exactly when the disk is slow.  *Release*, back on
+the loop: write that batch's output, in order.  So no byte that reveals a
+state change or acknowledges a delivered frame leaves the process before a
+checkpoint containing that state and that watermark is durable: a client
+never sees a ``WriteAck`` for a write a crash can forget, and a peer never
+prunes a frame the receiver can lose.  A crash before the release drops
+the held output with the volatile state -- nobody saw either -- and leaves
+the file at the old checkpoint or the new one.
 
 Time is ``loop.time()`` in milliseconds, so the cores see the same unit the
 simulator uses; effect timers map to ``loop.call_at`` guarded by an
@@ -71,7 +77,9 @@ import os
 import struct
 import tempfile
 from collections import deque
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -192,6 +200,38 @@ def _ckpt_digest(data: bytes) -> bytes:
     return hashlib.blake2b(data, digest_size=_CKPT_DIGEST_LEN).digest()
 
 
+def _write_checkpoint(blob: bytes, tmp: str, path: str, root: str) -> None:
+    """The disk half of a persist: ``blob`` atomically replaces ``path``.
+
+    Write-to-temp + fsync + rename + directory fsync, on plain file
+    descriptors and on paths the caller computed: the function reads no
+    store or server state, so it is safe on a worker thread while the
+    event loop moves on.  ``os.fsync`` is looked up on the module at each
+    call (the ledger counts the calls there).
+    """
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        view = memoryview(blob)
+        while view:
+            view = view[os.write(fd, view):]
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+    os.replace(tmp, path)
+    # the rename is only durable once the directory entry is; some
+    # platforms refuse O_RDONLY fsync on directories -- best effort
+    try:
+        fd = os.open(root, os.O_RDONLY)
+    except OSError:  # pragma: no cover - exotic filesystems
+        return
+    try:
+        os.fsync(fd)
+    except OSError:  # pragma: no cover
+        pass
+    finally:
+        os.close(fd)
+
+
 class FileDurableStore:
     """File-backed stable storage: one checkpoint file per server.
 
@@ -201,7 +241,9 @@ class FileDurableStore:
     (write-to-temp + fsync + rename + directory fsync), so a crash
     mid-persist leaves the previous checkpoint intact *and* the rename is
     itself durable; stale ``*.ckpt.tmp`` from a crash mid-write are swept
-    on boot.
+    on boot.  :meth:`persist` is that whole, synchronously; with
+    ``defer=True`` it stops after the encode and hands the disk half to
+    the caller, which is how the live server keeps fsync off its loop.
 
     Integrity: the file is a sectioned container --
     ``magic || u32 nsections || (u32 len || blake2b-16 || payload)* ||
@@ -331,7 +373,26 @@ class FileDurableStore:
         except (TypeError, KeyError, AttributeError):
             return digest
 
-    def persist(self, checkpoint: ServerCheckpoint) -> None:
+    def persist(
+        self, checkpoint: ServerCheckpoint, defer: bool = False
+    ) -> tuple[Callable[[], None], Callable[[], None]] | None:
+        """Make ``checkpoint`` durable, or hand back the disk half of doing so.
+
+        A persist is three steps.  *Snapshot* (here, always): encode the
+        sections, digest them, and return at once when the file already
+        holds this checkpoint.  *Disk*: :func:`_write_checkpoint` on the
+        assembled, immutable blob.  *Landed*: remember what the file now
+        holds and count the write.
+
+        By default all three run before ``persist`` returns.  With
+        ``defer`` the caller gets ``(write, landed)`` instead -- or
+        ``None`` for a skipped persist -- and runs them itself:
+        ``write()`` touches nothing but the blob and the file system, so
+        it may run on any thread; ``landed()`` touches the store and
+        belongs on the thread that owns it, after ``write()`` returned.
+        The caller keeps at most one deferred persist per server
+        outstanding (two writers would race on the one temp file).
+        """
         server_id = checkpoint.server_id
         sections, digests = self._encode_sections(checkpoint)
         durable = (
@@ -341,31 +402,27 @@ class FileDurableStore:
         if self._durable.get(server_id) == durable:
             # the file already holds this state (and at least these frames)
             self.skip_counts[server_id] = self.skip_counts.get(server_id, 0) + 1
-            return
-        path = self._path(server_id)
-        tmp = path.with_suffix(".ckpt.tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(self._assemble(sections, digests))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        self._fsync_dir()
-        self._durable[server_id] = durable
-        self.persist_counts[server_id] = self.persist_counts.get(server_id, 0) + 1
+            return None
+        path = os.fspath(self._path(server_id))
+        write = partial(
+            _write_checkpoint,
+            self._assemble(sections, digests),
+            path + ".tmp",
+            path,
+            os.fspath(self.root),
+        )
 
-    def _fsync_dir(self) -> None:
-        # the rename is only durable once the directory entry is; some
-        # platforms refuse O_RDONLY fsync on directories -- best effort
-        try:
-            fd = os.open(self.root, os.O_RDONLY)
-        except OSError:  # pragma: no cover - exotic filesystems
-            return
-        try:
-            os.fsync(fd)
-        except OSError:  # pragma: no cover
-            pass
-        finally:
-            os.close(fd)
+        def landed() -> None:
+            self._durable[server_id] = durable
+            self.persist_counts[server_id] = (
+                self.persist_counts.get(server_id, 0) + 1
+            )
+
+        if defer:
+            return write, landed
+        write()
+        landed()
+        return None
 
     def load(self, server_id: int) -> ServerCheckpoint | None:
         # forget what we believed about the file: a damaged one must be
@@ -449,6 +506,19 @@ class FileDurableStore:
         self._path(server_id).unlink(missing_ok=True)
 
 
+class _HeldBatch(NamedTuple):
+    """What one commit detached from behind the barrier at its snapshot."""
+
+    #: ``(client id, msg)``, in the order the handlers produced them
+    replies: list
+    #: ``(peer, its connection, receive watermark in the snapshot)``
+    acks: list
+    #: ``(channel, the connection the frames were queued for, frames)``
+    frames: list
+    #: length of the audit log at the snapshot
+    audit: int
+
+
 class _PeerChannel:
     """The dialer end of one directed reliable channel ``me -> peer``.
 
@@ -465,10 +535,12 @@ class _PeerChannel:
     Commit barrier: no frame goes from a handler to the socket.  Frames
     surviving chaos land in ``_pending`` -- *held*: the state change that
     produced them is not on disk yet -- and ask the server for a commit;
-    the commit calls :meth:`release` once its checkpoint is durable.
+    the commit takes them with :meth:`detach` in the step that snapshots
+    the state and hands them to :meth:`release` once that checkpoint is
+    durable (or back to :meth:`reclaim` when the disk refused it).
 
     Batched flush (``server.batch``, the default): ``release`` moves the
-    held frames to ``_ready`` and wakes the flusher task, which
+    detached frames to ``_ready`` and wakes the flusher task, which
     concatenates everything ready into a **single** ``writer.write`` and
     then applies ``drain()``-based backpressure.  Two lists, because the
     flusher wakes one loop iteration after the release, and frames that
@@ -581,18 +653,42 @@ class _PeerChannel:
         self._pending.append(frame)
         self.server._schedule_commit()
 
-    def release(self) -> None:
-        """The server's commit made everything in ``_pending`` durable."""
+    def detach(self) -> tuple | None:
+        """Hand the held frames to the commit taking its snapshot now.
+
+        Returns ``(writer, frames)`` -- the connection the frames were
+        queued for, and the frames -- or ``None`` when nothing is held.
+        Frames enqueued from here on start a new list: they show state
+        the snapshot does not hold and wait for the next commit.
+        """
         frames = self._pending
         if not frames:
-            return
+            return None
         self._pending = []
+        return self.writer, frames
+
+    def release(self, writer, frames: list) -> None:
+        """The commit that detached ``frames`` is durable: send them.
+
+        A channel that has redialled since the frames were detached has
+        replayed its whole unacked tail on the new connection and shed the
+        rest, exactly as ``_run`` does with ``_pending`` -- sending the
+        batch as well would put every data frame on the wire twice.
+        """
+        if writer is None or self.writer is not writer:
+            return
         if not self.server.batch:
             for frame in frames:
                 self._write_frame(frame)
             return
         self._ready += frames
         self._flush_wakeup.set()
+
+    def reclaim(self, writer, frames: list) -> None:
+        """The commit that detached ``frames`` failed: hold them again,
+        ahead of everything enqueued since (FIFO order is kept)."""
+        if writer is not None and self.writer is writer:
+            self._pending[:0] = frames
 
     def _write_frame(self, frame) -> None:
         if self.writer is not None:
@@ -900,8 +996,12 @@ class AsyncioServer:
         # -- commit barrier (see ``_commit``) ---------------------------
         #: durable state changed since the last checkpoint
         self._dirty = False
-        #: a ``_commit`` is already queued for the next loop iteration
+        #: something became dirty or held since the last snapshot: a
+        #: ``_commit`` is queued for the next loop iteration, or will be
+        #: the moment the commit in flight lands
         self._commit_scheduled = False
+        #: the disk half of the one commit in flight (an executor future)
+        self._in_flight: asyncio.Future | None = None
         #: client replies held until the commit: ``(client id, msg)``
         self._held_replies: list[tuple[int, object]] = []
         #: cumulative ack owed to each peer: ``src -> its connection``
@@ -1017,6 +1117,7 @@ class AsyncioServer:
     async def _kill_locked(self) -> None:
         self.halted = True
         self._epoch += 1
+        self._commit_scheduled = False  # the queued one is a no-op now
         for handle in self._timers.values():
             handle.cancel()
         self._timers.clear()
@@ -1043,10 +1144,14 @@ class AsyncioServer:
         self._inbound.clear()
         self._clients.clear()
         await asyncio.sleep(0.01)  # let connection handlers observe the close
+        # a disk half caught in flight may land or not -- the file is the
+        # old checkpoint or the new one, and its batch is released to
+        # nobody -- but it must be over before the next incarnation loads
+        # and writes the same temp file
+        await self.committed()
         # a crash loses everything not on disk -- and nothing held behind
         # the barrier was ever visible to anyone
         self._dirty = False
-        self._commit_scheduled = False
         self._held_replies.clear()
         self._held_acks.clear()
         del self._audit_log[self._audit_durable:]
@@ -1461,48 +1566,149 @@ class AsyncioServer:
         self._schedule_commit()
 
     def _schedule_commit(self) -> None:
-        """Queue one ``_commit`` for the next loop iteration (idempotent).
+        """Ask for one ``_commit`` covering what is dirty or held now.
 
-        asyncio runs only the handles that were ready when an iteration
-        started, so a commit scheduled by the first handler of an
-        iteration runs in the next one, ahead of every reader task the
-        next ``select`` wakes: the batch is what one iteration handled.
+        Idempotent.  With no commit in flight it is queued for the next
+        loop iteration: asyncio runs only the handles that were ready when
+        an iteration started, so a commit scheduled by the first handler
+        of an iteration runs in the next one, ahead of every reader task
+        the next ``select`` wakes -- the batch is what one iteration
+        handled.  With one in flight nothing is queued; the request is
+        remembered and ``_disk_done`` queues the follow-up, so a batch
+        grows for exactly as long as the disk takes.
         """
         if not self._commit_scheduled and not self.halted:
             self._commit_scheduled = True
-            self._loop.call_soon(self._commit, self._epoch)
+            if self._in_flight is None:
+                self._loop.call_soon(self._commit, self._epoch)
+
+    @property
+    def committing(self) -> bool:
+        """A commit is scheduled or in flight: memory is ahead of the
+        file, or output is held."""
+        return self._commit_scheduled or self._in_flight is not None
+
+    async def committed(self) -> None:
+        """Return once no commit is scheduled and none is in flight.
+
+        Everything handled before the call is then on disk and everything
+        it held has been released -- unless the disk refused the write
+        (the loop's exception handler was told; the output stays held
+        until the next event retries) or the server was killed meanwhile.
+        """
+        while self.committing:
+            if self._in_flight is not None:
+                # ``wait`` neither raises the disk's error nor cancels the
+                # write when the waiter is cancelled; ``_disk_done`` was
+                # registered first, so it has run by the time we resume
+                await asyncio.wait({self._in_flight})
+            else:
+                await asyncio.sleep(0)  # the queued ``_commit`` runs first
 
     def _commit(self, epoch: int) -> None:
-        """Group commit: one checkpoint, then release the held output.
+        """Group commit, pipelined: snapshot here, disk on a thread,
+        release in ``_disk_done``.
 
         The invariant: no byte that reveals a state change, or
         acknowledges a delivered frame, leaves the process before a
         checkpoint containing that state *and* that receive watermark has
         been renamed into place and the directory fsynced.  Client
         replies, cumulative acks, peer data frames, gossip, replays and
-        retransmits all queue behind this function; audit records become
-        streamable here too.
+        retransmits all queue behind a commit; audit records become
+        streamable there too.
+
+        This callback is the *snapshot*: it encodes the checkpoint from
+        the live objects (zero-copy, so the capture must not outlive the
+        callback -- only the assembled ``bytes`` cross to the thread) and,
+        in the same step, detaches everything held right now into one
+        batch.  Whatever a handler produces from here on shows state this
+        checkpoint lacks and waits for the next commit; at most one is in
+        flight per server.  A clean server, a server without a store and
+        a checkpoint the file already holds release at once.
         """
         if epoch != self._epoch or self.halted:
             return  # scheduled by an incarnation that has since crashed
         self._commit_scheduled = False
+        disk = None
         if self._dirty:
             if self.store is not None:
                 self.core.stats.persists += 1
-                self.store.persist(
-                    capture_server_state(self.core, self._arq_view)
+                disk = self.store.persist(
+                    capture_server_state(self.core, self._arq_view), defer=True
                 )
             self._dirty = False
-        self._audit_durable = len(self._audit_log)
+        batch = self._detach_held()
+        if disk is None:
+            self._audit_durable = batch.audit
+            self._release(batch)
+            return
+        write, landed = disk
+        self._in_flight = self._loop.run_in_executor(None, write)
+        self._in_flight.add_done_callback(
+            partial(self._disk_done, epoch, batch, landed)
+        )
+
+    def _detach_held(self) -> _HeldBatch:
+        """Everything held behind the barrier, as of the snapshot."""
         replies, self._held_replies = self._held_replies, []
-        for dst, msg in replies:
+        acks, self._held_acks = self._held_acks, {}
+        return _HeldBatch(
+            replies,
+            # the watermark the snapshot holds -- by release time
+            # ``_recv_last`` has moved on to frames the file lacks
+            [(src, w, self._recv_last.get(src, 0)) for src, w in acks.items()],
+            [
+                (channel, *held)
+                for channel in self._channels.values()
+                if (held := channel.detach()) is not None
+            ],
+            len(self._audit_log),
+        )
+
+    def _disk_done(self, epoch, batch, landed, fut: asyncio.Future) -> None:
+        """The disk half of the commit in flight is over (on the loop)."""
+        self._in_flight = None
+        exc = fut.exception()
+        if exc is None:
+            # whoever is alive now, the file is that checkpoint -- and the
+            # audit records of the events in it are as durable as they are
+            landed()
+            self._audit_durable = batch.audit
+        if epoch != self._epoch:
+            return  # crashed with the write in flight: nobody sees the batch
+        if exc is not None:
+            # as when the disk failed inside ``_commit``: nothing is
+            # released, the server stays dirty, the next event retries
+            self._dirty = True
+            self._commit_scheduled = False
+            self._reclaim(batch)
+            self._loop.call_exception_handler({
+                "message": f"server {self.node_id}: checkpoint write failed",
+                "exception": exc,
+            })
+            return
+        self._release(batch)
+        if self._commit_scheduled:
+            self._loop.call_soon(self._commit, epoch)
+
+    def _release(self, batch: _HeldBatch) -> None:
+        """``batch``'s checkpoint is durable: let its output out, in order."""
+        for dst, msg in batch.replies:
             # a client that has gone re-requests through its retry policy
             self._write_inbound(self._clients.get(dst), ("m", msg))
-        acks, self._held_acks = self._held_acks, {}
-        for src, writer in acks.items():
-            self._write_inbound(writer, ("a", self._recv_last.get(src, 0)))
-        for channel in self._channels.values():
-            channel.release()
+        for _src, writer, upto in batch.acks:
+            self._write_inbound(writer, ("a", upto))
+        for channel, writer, frames in batch.frames:
+            channel.release(writer, frames)
+
+    def _reclaim(self, batch: _HeldBatch) -> None:
+        """Put a batch whose write failed back in front of what is held."""
+        self._held_replies[:0] = batch.replies
+        for src, writer, _upto in batch.acks:
+            # a newer connection from ``src`` is the one that gets the ack
+            self._held_acks.setdefault(src, writer)
+        for channel, writer, frames in batch.frames:
+            channel.reclaim(writer, frames)
 
     def _write_inbound(self, writer, frame) -> None:
         """Write one frame on a connection a client or peer dialled."""
@@ -2294,7 +2500,9 @@ class AsyncioCluster:
     async def quiesce(
         self, idle_rounds: int = 4, poll: float = 0.03, timeout: float = 30.0
     ) -> None:
-        """Wait until no frames have been delivered for a few poll rounds."""
+        """Wait until no frames have been delivered for a few poll rounds
+        and no server has a commit scheduled or in flight: what the
+        servers hold in memory is then what their files hold."""
         deadline = asyncio.get_running_loop().time() + timeout
         stable = 0
         last = None
@@ -2308,6 +2516,15 @@ class AsyncioCluster:
             if asyncio.get_running_loop().time() > deadline:
                 raise TimeoutError("cluster did not quiesce in time")
             await asyncio.sleep(poll)
+        await self.committed()
+
+    async def committed(self) -> None:
+        """Return once no server has a commit scheduled or in flight."""
+        # a GC tick can start a commit on one server while another's is
+        # awaited, hence the loop; each pass waits one disk write at most
+        while any(s.committing for s in self.servers):
+            for s in self.servers:
+                await s.committed()
 
     async def shutdown(self) -> None:
         for handle in self._fault_handles:

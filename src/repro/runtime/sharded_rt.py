@@ -185,6 +185,9 @@ class ShardedAsyncioCluster:
     async def quiesce(self, **kw) -> None:
         for cluster in self.shards.values():
             await cluster.quiesce(**kw)
+        # quiescing the last shard gave the first time to start a commit
+        for cluster in self.shards.values():
+            await cluster.committed()
 
     async def shutdown(self) -> None:
         for cluster in self.shards.values():

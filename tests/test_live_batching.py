@@ -5,6 +5,11 @@ Regression tests for the throughput-first send path:
 * **coalescing** -- frames one commit releases leave in a single
   ``writer.write`` of concatenated frames that decodes back to the exact
   message sequence (and nothing leaves before the release);
+* **detach / release** -- a commit takes the held frames when it snapshots
+  the state and sends them when its checkpoint is durable: frames enqueued
+  in between wait for the next commit, a batch whose connection has been
+  redialled meanwhile is dropped (the replay covers it), and a batch whose
+  write failed goes back in front of what was enqueued since;
 * **backpressure** -- while the transport sits over its high-water mark
   the channel stops feeding the socket (data frames wait in ``unacked``)
   and replays the skipped tail after ``drain()``, with no loss or
@@ -17,8 +22,8 @@ Regression tests for the throughput-first send path:
 
 The channel-level tests drive a :class:`_PeerChannel` against a fake
 ``StreamWriter`` with a controllable drain gate and write-buffer size, and
-play the server's commit themselves by calling ``release()``; the
-end-to-end test runs a real batched cluster under chaos.
+play the server's commit themselves (``_commit``: detach, then release);
+the end-to-end test runs a real batched cluster under chaos.
 """
 
 from __future__ import annotations
@@ -85,8 +90,8 @@ class _StubServer:
         self.commits_requested = 0
 
     def _schedule_commit(self):
-        # the real server checkpoints, then calls release() on every
-        # channel; the tests below call release() when they mean "durable"
+        # the real server snapshots + detach()es, writes the checkpoint,
+        # then release()s; the tests below call _commit() for all three
         self.commits_requested += 1
 
 
@@ -116,6 +121,13 @@ def _receive(frames: list) -> tuple[list, int]:
     return out, last
 
 
+def _commit(ch: _PeerChannel) -> None:
+    """Play a server commit whose disk half takes no time."""
+    held = ch.detach()
+    if held is not None:
+        ch.release(*held)
+
+
 def _channel(stub: _StubServer) -> tuple[_PeerChannel, _FakeWriter]:
     ch = _PeerChannel(stub, 1)
     fake = _FakeWriter()
@@ -136,7 +148,7 @@ def test_batched_sends_coalesce_into_single_write():
         # nothing reaches the socket until one releases the frames
         assert stub.commits_requested == 5
         assert fake.writes == []
-        ch.release()
+        _commit(ch)
         await asyncio.sleep(0.02)
         # one commit, one write -- not one write per frame
         assert len(fake.writes) == 1
@@ -145,6 +157,61 @@ def test_batched_sends_coalesce_into_single_write():
         delivered, last = _receive(frames)
         assert delivered == msgs and last == len(msgs)
         assert stub.frames_sent == 5 and stub.flushes == 1
+        await ch.stop()
+
+    asyncio.run(run())
+
+
+def test_frames_enqueued_after_the_snapshot_wait_for_the_next_commit():
+    async def run():
+        stub = _StubServer()
+        stub.batch = False  # direct writes make the frame count visible
+        ch, fake = _channel(stub)
+        ch.send(("payload", 0))
+        ch.send(("payload", 1))
+        held = ch.detach()  # the commit snapshots: seq 1-2 are in the file
+        ch.send(("payload", 2))  # handled with the write in flight
+        assert fake.writes == []
+        ch.release(*held)
+        assert [f[1] for f in _frames(fake.writes)] == [1, 2]
+        assert [f[1] for f in ch._pending] == [3]  # still held
+        _commit(ch)
+        assert [f[1] for f in _frames(fake.writes)] == [1, 2, 3]
+        assert ch.detach() is None  # nothing held: nothing to commit
+        await ch.stop()
+
+    asyncio.run(run())
+
+
+def test_a_batch_detached_for_a_dead_connection_is_dropped_not_resent():
+    async def run():
+        stub = _StubServer()
+        stub.batch = False
+        ch, old = _channel(stub)
+        ch.send(("payload", 0))
+        held = ch.detach()
+        # the channel redials while the write is in flight: ``_run`` sheds
+        # what was queued for the dead connection and replays ``unacked``
+        new = _FakeWriter()
+        ch._pending.clear()
+        ch.writer = new
+        for seq, msg in list(ch.unacked):
+            ch._transmit(seq, msg)
+        ch.release(*held)  # bound for ``old``: must not go out on ``new``
+        assert old.writes == [] and new.writes == []
+        _commit(ch)
+        assert [f[1] for f in _frames(new.writes)] == [1]  # once, not twice
+        # a failed write puts a live connection's batch back in front ...
+        ch.send(("payload", 1))
+        held = ch.detach()
+        ch.send(("payload", 2))
+        ch.reclaim(*held)
+        assert [f[1] for f in ch._pending] == [2, 3]
+        # ... and forgets a dead connection's
+        held = ch.detach()
+        ch.writer = None
+        ch.reclaim(*held)
+        assert ch._pending == []
         await ch.stop()
 
     asyncio.run(run())
@@ -159,14 +226,14 @@ def test_backpressure_pauses_enqueue_and_replays_without_loss():
         ch._flush_task = asyncio.ensure_future(ch._flush_loop())
         for k in range(3):
             ch.send(("payload", k))
-        ch.release()
+        _commit(ch)
         await asyncio.sleep(0.02)
         # the flusher wrote the first batch, then parked in drain()
         assert ch._paused
         writes_before = len(fake.writes)
         for k in range(3, 6):
             ch.send(("payload", k))
-        ch.release()
+        _commit(ch)
         await asyncio.sleep(0.02)
         # over the high-water mark nothing new reaches the socket: the
         # skipped frames wait in unacked, not in an unbounded pending list
@@ -178,7 +245,7 @@ def test_backpressure_pauses_enqueue_and_replays_without_loss():
         fake.transport.buffer_size = 0
         fake.drain_gate.set()
         await asyncio.sleep(0.02)
-        ch.release()
+        _commit(ch)
         await asyncio.sleep(0.02)
         delivered, last = _receive(_frames(fake.writes))
         assert last == 6
@@ -204,7 +271,7 @@ def test_backpressure_under_chaos_drops_no_loss_no_reorder():
                 # squeeze the transport mid-burst
                 fake.drain_gate = asyncio.Event()
                 fake.transport.buffer_size = 1 << 20
-        ch.release()
+        _commit(ch)
         await asyncio.sleep(0.03)
         fake.transport.buffer_size = 0
         fake.drain_gate.set()
@@ -212,7 +279,7 @@ def test_backpressure_under_chaos_drops_no_loss_no_reorder():
         loop = asyncio.get_running_loop()
         last = 0
         for _ in range(200):
-            ch.release()
+            _commit(ch)
             await asyncio.sleep(0.005)
             _, last = _receive(_frames(fake.writes))
             ch._on_ack(last)
@@ -236,7 +303,7 @@ def test_retransmit_pass_is_age_gated():
         loop = asyncio.get_running_loop()
         ch.send(("payload", 1))
         ch.send(("payload", 2))
-        ch.release()
+        _commit(ch)
         sent_before = len(fake.writes)
         assert sent_before == 2  # unbatched: one write per released frame
         # both frames were transmitted microseconds ago: a pass now must
@@ -245,7 +312,7 @@ def test_retransmit_pass_is_age_gated():
         assert len(fake.writes) == sent_before
         # once their age exceeds the interval they do go out again
         assert ch._retransmit_pass(loop.time() + RETRANSMIT_INTERVAL) == 2
-        ch.release()
+        _commit(ch)
         assert len(fake.writes) == sent_before + 2
         # acked frames leave the tail and the age map
         ch._on_ack(2)

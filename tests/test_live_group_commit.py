@@ -1,13 +1,19 @@
-"""Group commit behind the output barrier (live runtime).
+"""Pipelined group commit behind the output barrier (live runtime).
 
-The invariant under test (``AsyncioServer._commit``): no byte that reveals
-a state change, or acknowledges a delivered frame, leaves a server before
-a checkpoint containing that state and that receive watermark is durable.
+The invariant under test (``AsyncioServer._commit`` / ``_disk_done``): no
+byte that reveals a state change, or acknowledges a delivered frame, leaves
+a server before a checkpoint containing that state and that receive
+watermark is durable -- with the checkpoint's disk half on a worker thread
+and the event loop handling further events meanwhile.
 
-* **order spy** -- over ``StreamWriter.write`` and ``os.fsync``: between a
-  handler running on a server and the directory fsync of the commit that
-  covers it, the server writes no ``("m", ...)``, ``("a", ...)`` or
-  ``("d", ...)`` frame showing what that handler did;
+* **order spy** -- over ``StreamWriter.write``, ``os.fsync`` and
+  ``FileDurableStore.persist``: a server writes no ``("m", ...)``,
+  ``("a", ...)`` or ``("d", ...)`` frame showing more than the last
+  checkpoint whose directory fsync has returned.  Run over a plain
+  workload, and over one where a gate stops a write in flight while the
+  server handles more -- there it must catch two mutants: an ack written
+  with the release-time watermark, and held frames not split at the
+  snapshot;
 * **batching** -- N frames from 4 peers handled in one loop iteration cost
   one checkpoint write and one ack per peer, carrying the final watermark;
 * **crash inside the barrier** -- a server killed after handling but before
@@ -16,20 +22,35 @@ a checkpoint containing that state and that receive watermark is durable.
   unacked tails exactly once and its clients' retries are answered; the
   online auditor stays clean over a seeded 200-op run with three such
   kills;
+* **crash with a write in flight** -- the same, with the disk half stopped
+  at each of its four steps (and, before the rename, lost altogether);
+* **disk error** -- a disk half that fails releases nothing, and the next
+  commit writes and releases everything exactly once, in order;
+* **quiesce** -- a quiesced cluster's files hold what its servers hold, one
+  file per server and no temp file;
 * **GC slots** -- the periodic GC tick of server ``i`` is armed for slot
   ``i/N`` of the period on the loop clock and stays there when the loop
   lags, so servers sharing a loop never drift into phase groups (read off
   the armed deadlines: no wall-clock bound).
+
+The whole file runs under a 10 us thread switch interval, so the worker
+threads preempt the loop (and each other) as often as the interpreter lets
+them.
 """
 
 from __future__ import annotations
 
 import asyncio
+import errno
 import math
 import os
+import stat
+import sys
+import threading
 import time
 
 import numpy as np
+import pytest
 
 from repro.consistency.causal import (
     check_causal_consistency,
@@ -41,10 +62,35 @@ from repro.ec.codes import example1_code
 from repro.protocol.client_core import RetryPolicy
 from repro.protocol.server_core import ServerConfig
 from repro.runtime import wire
-from repro.runtime.asyncio_rt import AsyncioCluster, AsyncioServer
+from repro.runtime.asyncio_rt import (
+    AsyncioCluster,
+    AsyncioServer,
+    _PeerChannel,
+)
 from repro.runtime.auditor import OnlineAuditor
 
 from tests.test_live_batching import _frames
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _short_switch_interval():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+async def _until(predicate, timeout: float = 5.0) -> None:
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline, "timed out"
+        await asyncio.sleep(0.001)
+
+
+def _is_dir_fd(fd: int) -> bool:
+    return stat.S_ISDIR(os.fstat(fd).st_mode)
 
 
 class _OrderSpy:
@@ -52,19 +98,22 @@ class _OrderSpy:
 
     Spies on ``os.fsync``, ``FileDurableStore.persist`` and
     ``StreamWriter.write``.  ``durable[s]`` is the content of the last
-    checkpoint server ``s`` made durable -- noted only after ``persist``
-    returned, i.e. after the directory fsync (or after it found the file
-    already holding that very state).  A frame is a violation when it
-    shows more than that checkpoint holds: a data frame whose sequence
-    number the checkpoint's send state has not reached, an ack above the
-    checkpoint's receive watermark, a reply stamped with a clock the
-    checkpoint's clock does not cover.
+    checkpoint server ``s`` made durable.  It is copied at the snapshot
+    (the capture is zero-copy) and noted only once the disk half of that
+    very persist has returned on its worker thread, i.e. after the
+    directory fsync of that server's file -- or at once when the store
+    found the file already holding that very state.  A frame is a
+    violation when it shows more than that checkpoint holds: a data frame
+    whose sequence number the checkpoint's send state has not reached, an
+    ack above the checkpoint's receive watermark, a reply stamped with a
+    clock the checkpoint's clock does not cover.
     """
 
     def __init__(self, cluster, monkeypatch):
         self.durable: dict[int, dict] = {}
         self.written = {"m": 0, "a": 0, "d": 0}
-        self.dir_fsyncs = 0
+        #: the thread of every directory fsync (``append`` is atomic)
+        self.dir_fsyncs: list[int] = []
         self.violations: list[str] = []
         self._cluster = cluster
         self._dialler: dict[object, int] = {}
@@ -74,29 +123,39 @@ class _OrderSpy:
 
         def fsync(fd):
             real_fsync(fd)
-            if os.path.isdir(f"/proc/self/fd/{fd}"):
-                spy.dir_fsyncs += 1
+            if _is_dir_fd(fd):
+                spy.dir_fsyncs.append(threading.get_ident())
 
         monkeypatch.setattr(os, "fsync", fsync)
 
         store = cluster.store
         real_persist = store.persist
 
-        def persist(checkpoint):
+        def persist(checkpoint, defer=False):
             sid = checkpoint.server_id
-            fsyncs, writes = spy.dir_fsyncs, store.persist_counts.get(sid, 0)
-            real_persist(checkpoint)
-            # a real write ends in exactly one directory fsync; a skipped
-            # one does not touch the disk
-            wrote = store.persist_counts.get(sid, 0) - writes
-            assert spy.dir_fsyncs - fsyncs == wrote
-            spy.durable[sid] = {
+            content = {
                 "vc": checkpoint.state["vc"],
                 "recv": dict(checkpoint.transport["recv"]),
                 "seq": {
                     j: st["seq"] for j, st in checkpoint.transport["send"].items()
                 },
             }
+            disk = real_persist(checkpoint, defer=defer)
+            if disk is None:
+                spy.durable[sid] = content  # the file held it already
+                return None
+            write, landed = disk
+
+            def spied_write():
+                me = threading.get_ident()
+                before = spy.dir_fsyncs.count(me)
+                write()
+                # a real write ends in exactly one directory fsync
+                if spy.dir_fsyncs.count(me) - before != 1:
+                    spy.violations.append(f"server {sid}: no directory fsync")
+                spy.durable[sid] = content
+
+            return spied_write, landed
 
         monkeypatch.setattr(store, "persist", persist)
 
@@ -167,8 +226,164 @@ def test_no_frame_leaves_between_handler_and_commit(monkeypatch):
 
     spy = asyncio.run(run())
     # the run really exercised replies, acks, data frames and the disk
-    assert all(spy.written.values()) and spy.dir_fsyncs > 0
+    assert all(spy.written.values()) and spy.dir_fsyncs
     assert spy.violations == []
+
+
+class _DiskGate:
+    """Stops the disk half of one server's next commit at a chosen point.
+
+    Wraps the ``os`` calls ``_write_checkpoint`` makes.  Once armed, the
+    worker thread that opens the server's temp file is followed through
+    its write; at ``point`` it sets ``reached`` and waits for ``resume``
+    (set it beforehand for a gate that does not stop).  With ``error`` the
+    thread then raises it instead of carrying on: the disk half dies there.
+    One commit only -- the gate disarms when it is reached.
+    """
+
+    POINTS = (
+        "before-tmp-write",
+        "after-file-fsync",
+        "after-rename",
+        "after-dir-fsync",
+    )
+
+    def __init__(self, monkeypatch, store, server_id, point, error=None):
+        assert point in self.POINTS
+        self.reached = threading.Event()
+        self.resume = threading.Event()
+        self._armed = False
+        self._thread = None
+        tmp = os.fspath(store._path(server_id)) + ".tmp"
+        gate = self
+        real_open, real_fsync, real_replace = os.open, os.fsync, os.replace
+
+        def at(here):
+            if not (gate._armed and gate._thread == threading.get_ident()):
+                return
+            if here != point:
+                return
+            gate._armed = False
+            gate.reached.set()
+            if not gate.resume.wait(10.0):
+                raise TimeoutError("nobody opened the disk gate")
+            if error is not None:
+                raise error
+
+        def open_(path, *args, **kwargs):
+            if gate._armed and path == tmp:
+                gate._thread = threading.get_ident()
+                at("before-tmp-write")
+            return real_open(path, *args, **kwargs)
+
+        def fsync(fd):
+            real_fsync(fd)
+            at("after-dir-fsync" if _is_dir_fd(fd) else "after-file-fsync")
+
+        def replace(src, dst):
+            real_replace(src, dst)
+            at("after-rename")
+
+        monkeypatch.setattr(os, "open", open_)
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+
+    def arm(self) -> None:
+        self._armed = True
+
+
+def _held(server) -> tuple[int, int, int]:
+    """How much ``server`` holds behind the barrier: replies, acks, frames."""
+    return (
+        len(server._held_replies),
+        len(server._held_acks),
+        sum(len(ch._pending) for ch in server._channels.values()),
+    )
+
+
+def _ack_with_release_time_watermark(monkeypatch):
+    real = AsyncioServer._release
+
+    def release(server, batch):
+        acks = [
+            (src, writer, server._recv_last.get(src, 0))
+            for src, writer, _upto in batch.acks
+        ]
+        real(server, batch._replace(acks=acks))
+
+    monkeypatch.setattr(AsyncioServer, "_release", release)
+
+
+def _pending_not_split_at_snapshot(monkeypatch):
+    real = _PeerChannel.release
+
+    def release(channel, writer, frames):
+        late, channel._pending = channel._pending, []
+        real(channel, writer, frames + late)
+
+    monkeypatch.setattr(_PeerChannel, "release", release)
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [None, _ack_with_release_time_watermark, _pending_not_split_at_snapshot],
+    ids=lambda m: "real" if m is None else m.__name__.strip("_"),
+)
+def test_output_handled_with_a_write_in_flight_waits_for_the_next_commit(
+    monkeypatch, mutant
+):
+    """The spy must bite: the two ways to get the pipelined release wrong
+    are applied as mutants, and each must show up as a violation."""
+    code = example1_code()
+    victim_id = 2
+
+    async def run():
+        cluster = AsyncioCluster(
+            code,
+            config=ServerConfig(gc_interval=None),
+            retry=RetryPolicy(timeout=5000.0, max_retries=2),
+        )
+        spy = _OrderSpy(cluster, monkeypatch)
+        gate = _DiskGate(monkeypatch, cluster.store, victim_id, "before-tmp-write")
+        if mutant is not None:
+            mutant(monkeypatch)
+        await cluster.start()
+        first, second = [await cluster.add_client(victim_id) for _ in range(2)]
+        remote = await cluster.add_client(0)
+        await cluster.quiesce()
+        victim = cluster.servers[victim_id]
+        commits = []
+        real_commit = victim._commit
+        victim._commit = lambda epoch: (commits.append(epoch), real_commit(epoch))
+        gate.arm()
+        ops = [asyncio.ensure_future(first.write(0, cluster.value(1)))]
+        await _until(gate.reached.is_set)
+        # with that write in flight the victim handles a client write (its
+        # App frames take sequence numbers the file lacks) and a peer's
+        # App (a watermark the file lacks, and an ack owed for it)
+        commits.clear()
+        frames_sent = victim.frames_sent
+        ops.append(asyncio.ensure_future(second.write(1, cluster.value(2))))
+        ops.append(asyncio.ensure_future(remote.write(2, cluster.value(3))))
+        await _until(lambda: all(_held(victim)))
+        await asyncio.sleep(0.02)
+        # all of it is held, behind a commit that is remembered, not queued
+        assert victim.frames_sent == frames_sent
+        assert victim._commit_scheduled and commits == []
+        assert not ops[0].done() and not ops[1].done()
+        gate.resume.set()
+        for op in await asyncio.wait_for(asyncio.gather(*ops), 5.0):
+            assert not op.failed
+        await cluster.quiesce()
+        await cluster.shutdown()
+        return spy
+
+    spy = asyncio.run(run())
+    assert all(spy.written.values())
+    if mutant is None:
+        assert spy.violations == []
+    else:
+        assert spy.violations, "the order spy let a mutant through"
 
 
 class _AckSink:
@@ -221,10 +436,12 @@ def test_one_iteration_of_peer_frames_is_one_checkpoint_and_one_ack_per_peer(
 
         monkeypatch.setattr(os, "fsync", fsync)
         writes_before = cluster.store.persist_counts.get(victim_id, 0)
-        # iteration 1: the four reader tasks run; iteration 2: the commit
+        # one loop iteration: the four reader tasks run, and leave a dirty
+        # server with one commit scheduled and everything held
         await asyncio.sleep(0)
-        assert victim._dirty and not any(s.writes for s in sinks.values())
-        await asyncio.sleep(0)
+        assert victim._dirty and victim.committing
+        assert not any(s.writes for s in sinks.values())
+        await asyncio.wait_for(victim.committed(), 5.0)
         monkeypatch.setattr(os, "fsync", real_fsync)
         wrote = cluster.store.persist_counts.get(victim_id, 0) - writes_before
         vc = victim.core.vc.components
@@ -275,11 +492,7 @@ class _CrashAtCommit:
         s = self.server
         if epoch != s._epoch or s.halted:
             return
-        self.held = (
-            len(s._held_replies),
-            len(s._held_acks),
-            sum(len(ch._pending) for ch in s._channels.values()),
-        )
+        self.held = _held(s)
         if not (s._dirty and all(self.held)):
             if self._loop.time() > self._deadline:
                 self.crashed.set_exception(AssertionError(
@@ -297,11 +510,27 @@ class _CrashAtCommit:
         self.frames_sent = s.frames_sent
         self.disk_writes = self.cluster.store.persist_counts.get(s.node_id, 0)
         self.audit_len = len(s._audit_log)
+        self._crash(epoch)
+
+    def _crash(self, epoch: int) -> None:
         asyncio.ensure_future(self._kill())
 
     async def _kill(self) -> None:
         await self.cluster.kill_server(self.server.node_id)
         self.crashed.set_result(None)
+
+
+class _StopDiskAtCommit(_CrashAtCommit):
+    """The same commit, but the process lives on into its disk half --
+    where ``gate`` stops it, with replies, acks and frames in the batch."""
+
+    def __init__(self, cluster, victim: int, gate: "_DiskGate"):
+        super().__init__(cluster, victim)
+        self.gate = gate
+
+    def _crash(self, epoch: int) -> None:
+        self.gate.arm()
+        self.server._commit(epoch)
 
 
 def _vc_on_disk(cluster, server_id: int) -> VectorClock:
@@ -411,6 +640,243 @@ def test_crash_between_handler_and_commit_loses_only_what_nobody_saw():
     check_causal_consistency(history, zero)
     check_returns_written_values(history, zero)
     assert len(history.completed()) == len(history) >= 200
+
+
+_LOST = OSError(errno.EIO, "the machine lost power here")
+
+
+@pytest.mark.parametrize(
+    "point,error",
+    [(point, None) for point in _DiskGate.POINTS]
+    + [(point, _LOST) for point in _DiskGate.POINTS[:2]],
+    ids=lambda v: v if isinstance(v, str) else "lands" if v is None else "lost",
+)
+def test_crash_at_every_point_of_an_in_flight_commit(monkeypatch, point, error):
+    """``kill`` cannot stop the worker thread: it waits for it.  Whether the
+    write then lands or dies, the file is the old checkpoint or the new
+    one, and the batch that waited for it is released to nobody."""
+    code = example1_code()
+    victim = 2
+
+    async def run():
+        auditor = OnlineAuditor()
+        await auditor.start()
+        cluster = AsyncioCluster(
+            code,
+            config=ServerConfig(gc_interval=25.0),
+            retry=RetryPolicy(timeout=60.0, backoff=1.3, max_retries=16),
+            audit_addr=auditor.address,
+        )
+        gate = _DiskGate(monkeypatch, cluster.store, victim, point, error)
+        await cluster.start()
+        clients = [await cluster.add_client(s) for s in (victim, victim, 0, 4)]
+        home = {c.node_id: c.core.server_id for c in clients}
+        for k, client in enumerate(clients):
+            op = await client.write(k % code.K, cluster.value(k + 1))
+            assert not op.failed
+        await cluster.quiesce()
+        server = cluster.servers[victim]
+
+        async def session(i, client):
+            for k in range(6):
+                key = (i + k) % code.K
+                op = await (
+                    client.read(key) if k % 2
+                    else client.write(key, cluster.value(10 * (i + 1) + k))
+                )
+                # a request the crash swallowed is retried and answered
+                assert not op.failed, op.error
+
+        sessions = [
+            asyncio.ensure_future(session(i, c)) for i, c in enumerate(clients)
+        ]
+        stopped = _StopDiskAtCommit(cluster, victim, gate)
+        await _until(gate.reached.is_set)
+        assert all(stopped.held)  # the batch in flight has all three kinds
+        # let more pile up behind the write, and the flushers of earlier
+        # commits finish: from here on every byte of output is held
+        await _until(lambda: any(_held(server)))
+        await asyncio.sleep(0.03)
+        frames_sent = server.frames_sent
+        vc_in_memory = server.core.vc
+        disk_writes = cluster.store.persist_counts[victim]
+        audit_durable = server._audit_durable
+        vc_before_rename = (
+            _vc_on_disk(cluster, victim) if point in _DiskGate.POINTS[:2] else None
+        )
+        released = [
+            op.ts for op in cluster.history.completed()
+            if home[op.client_id] == victim
+        ]
+        kill = asyncio.ensure_future(cluster.kill_server(victim))
+        await asyncio.sleep(0.05)
+        assert not kill.done()  # waiting for the write it cannot stop
+        gate.resume.set()
+        await asyncio.wait_for(kill, 5.0)
+
+        # nothing held was written, the batch in flight included
+        assert server.frames_sent == frames_sent
+        assert not server.committing and not server._dirty
+        assert _held(server) == (0, 0, 0)
+        assert len(server._audit_log) == server._audit_durable
+        landed = cluster.store.persist_counts[victim] - disk_writes
+        assert landed == (1 if error is None else 0)
+        on_disk = _vc_on_disk(cluster, victim)
+        if error is not None:
+            assert on_disk == vc_before_rename  # the old checkpoint, untouched
+            assert server._audit_durable == audit_durable
+        else:
+            # the audit records of a checkpoint that landed stay with it
+            assert server._audit_durable == stopped.audit_len
+        # behind what it only had in memory, never behind a reply it released
+        assert on_disk.leq(vc_in_memory)
+        assert all(ts.leq(on_disk) for ts in released)
+        await cluster.restart_server(victim)
+        assert server.core.vc == on_disk
+
+        await asyncio.wait_for(asyncio.gather(*sessions), 30.0)
+        await cluster.quiesce()
+        # the restarted server serves every acknowledged write
+        for op in cluster.history.completed():
+            assert op.ts.leq(server.core.vc)
+        for key in range(code.K):
+            op = await clients[0].read(key)
+            assert not op.failed
+        await asyncio.sleep(0.1)  # let the audit streams drain
+        violations = auditor.finalize()
+        history = cluster.history
+        await cluster.shutdown()
+        await auditor.close()
+        return violations, history
+
+    violations, history = asyncio.run(run())
+    assert violations == []
+    zero = example1_code().zero_value()
+    check_causal_consistency(history, zero)
+    check_returns_written_values(history, zero)
+    assert len(history.completed()) == len(history)
+
+
+def test_a_failed_disk_half_releases_nothing_and_the_next_commit_everything_once(
+    monkeypatch,
+):
+    code = example1_code()
+    victim_id = 2
+
+    async def run():
+        loop = asyncio.get_running_loop()
+        cluster = AsyncioCluster(
+            code,
+            config=ServerConfig(gc_interval=None),
+            retry=RetryPolicy(timeout=5000.0, max_retries=2),
+        )
+        gate = _DiskGate(
+            monkeypatch, cluster.store, victim_id, "after-file-fsync",
+            OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+        )
+        await cluster.start()
+        first, second = [await cluster.add_client(victim_id) for _ in range(2)]
+        remote = await cluster.add_client(0)
+        await cluster.quiesce()
+        victim = cluster.servers[victim_id]
+        reported = []
+        loop.set_exception_handler(lambda _loop, ctx: reported.append(ctx))
+        wrote: list[tuple] = []  # every reply and data frame the victim writes
+
+        def writes_so_far() -> int:
+            return cluster.store.persist_counts.get(victim_id, 0)
+
+        real_write = asyncio.StreamWriter.write
+
+        def write(writer, data):
+            if writer in victim._inbound or any(
+                ch.writer is writer for ch in victim._channels.values()
+            ):
+                for frame in _frames([bytes(data)]):
+                    if frame[0] == "m":
+                        wrote.append(("m", frame[1].opid, writes_so_far()))
+                    elif frame[0] == "d":
+                        peer = writer.get_extra_info("peername")
+                        wrote.append(("d", peer, frame[1]))
+            return real_write(writer, data)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "write", write)
+        disk_writes = writes_so_far()
+        frames_sent = victim.frames_sent
+        gate.arm()
+        ops = [asyncio.ensure_future(first.write(0, cluster.value(1)))]
+        await _until(gate.reached.is_set)
+        # a second write is handled, and held, behind the one in flight
+        ops.append(asyncio.ensure_future(second.write(1, cluster.value(2))))
+        await _until(lambda: _held(victim)[0] == 1)
+        gate.resume.set()
+        await _until(lambda: reported)
+        await asyncio.sleep(0.02)
+        # the disk said no: the loop was told, nothing was released, the
+        # server is dirty, and the batch is held again *ahead* of what
+        # came after it -- all waiting for the next event
+        assert isinstance(reported[0]["exception"], OSError)
+        assert reported[0]["exception"].errno == errno.ENOSPC
+        assert not any(op.done() for op in ops)
+        assert victim.frames_sent == frames_sent and wrote == []
+        assert victim._dirty and not victim.committing
+        assert writes_so_far() == disk_writes
+        assert [dst for dst, _ in victim._held_replies] == [
+            first.node_id, second.node_id,
+        ]
+        held_seqs = {
+            j: [f[1] for f in ch._pending] for j, ch in victim._channels.items()
+        }
+        for seqs in held_seqs.values():
+            assert len(seqs) == 2 and seqs[0] + 1 == seqs[1]
+        ops.append(asyncio.ensure_future(remote.write(2, cluster.value(3))))
+        done = await asyncio.wait_for(asyncio.gather(*ops), 5.0)
+        assert not any(op.failed for op in done)
+        await cluster.quiesce()
+        # the failed write is not counted; the retry is one write that
+        # covers both and lets both out: first come, first out, every reply
+        # and every data frame exactly once
+        assert [w[1:] for w in wrote if w[0] == "m"] == [
+            (op.opid, disk_writes + 1) for op in done[:2]
+        ]
+        for j, ch in victim._channels.items():
+            peer = ch.writer.get_extra_info("peername")
+            seqs = [w[2] for w in wrote if w[:2] == ("d", peer)]
+            assert seqs[:2] == held_seqs[j]
+            assert seqs == sorted(set(seqs)), "a frame went out twice"
+        assert len(reported) == 1
+        await cluster.shutdown()
+
+    asyncio.run(run())
+
+
+def test_quiesced_means_on_disk_one_file_per_server_and_no_tmp(tmp_path):
+    code = example1_code()
+
+    async def run():
+        cluster = AsyncioCluster(
+            code, config=ServerConfig(gc_interval=20.0), store_dir=tmp_path
+        )
+        await cluster.start()
+        clients = [await cluster.add_client(s) for s in range(code.N)]
+
+        async def session(i, client):
+            for k in range(8):
+                op = await client.write((i + k) % code.K, cluster.value(i + k))
+                assert not op.failed
+
+        await asyncio.gather(*(session(i, c) for i, c in enumerate(clients)))
+        await cluster.quiesce()
+        files = sorted(os.listdir(tmp_path))
+        assert not any(s.committing for s in cluster.servers)
+        clocks = [(s.core.vc, _vc_on_disk(cluster, s.node_id)) for s in cluster.servers]
+        await cluster.shutdown()
+        return files, clocks
+
+    files, clocks = asyncio.run(run())
+    assert files == [f"server_{i}.ckpt" for i in range(code.N)]
+    for in_memory, on_disk in clocks:
+        assert in_memory == on_disk
 
 
 def test_gc_ticks_keep_to_their_slots_when_the_loop_lags():

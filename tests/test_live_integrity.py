@@ -500,9 +500,12 @@ def test_scrub_rewrites_a_rotted_checkpoint_of_an_idle_server():
         loop = asyncio.get_running_loop()
         deadline = loop.time() + 3.0
         while (
-            victim.scrub.stats.checkpoints_rewritten < 1 or victim._dirty
-        ) and loop.time() < deadline:
+            victim.scrub.stats.checkpoints_rewritten < 1
+            and loop.time() < deadline
+        ):
             await asyncio.sleep(0.02)
+        # the scrub round only asked for the rewrite: wait for its commit
+        await asyncio.wait_for(victim.committed(), 3.0)
         stats = victim.scrub.stats
         result = (
             stats.checkpoints_corrupt,

@@ -125,10 +125,10 @@ async def _quarantine_then_crash_run():
         ), "scrub never quarantined the rotted symbol"
         assert core.stats.integrity_quarantines == 1
         assert len(_quarantine_entries(victim)) == 1
-        # the quarantine is on disk one loop iteration after it happened
-        # (group commit): wait for that commit, then the durable
+        # the quarantine is on disk once the commit that covers it has
+        # landed (group commit): wait for that, then the durable
         # checkpoint is the post-quarantine one
-        assert await _wait_for(lambda: not victim._dirty, 1.0)
+        await asyncio.wait_for(victim.committed(), 1.0)
         ckpt = cluster.store.load(VICTIM)
         assert ckpt is not None
         assert all(
