@@ -5,6 +5,9 @@ vector arithmetic, encode/decode/re-encode, recovery-set checks, server-side
 write/read handling, and raw simulator event throughput.
 """
 
+import asyncio
+import time
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,12 @@ from repro import (
     example1_code,
     reed_solomon_code,
 )
+from repro.core.messages import App, Del
+from repro.core.tags import Tag, VectorClock
+from repro.protocol.server_core import ServerConfig
+from repro.runtime import wire
+from repro.runtime.asyncio_rt import AsyncioCluster, FileDurableStore
+from tests import reference_v7
 
 VLEN = 4096
 
@@ -26,6 +35,9 @@ KERNEL_FIELDS = {"gf257": PrimeField(257), "gf256": GF256}
 KERNEL_VLENS = (64, 1024, 4096)
 #: acceptance floor for kernel vs scalar-reference at value_len=4096
 MIN_SPEEDUP = 10.0
+#: ISSUE 24: the dispatch-table encoder vs the ladder it replaced, on a
+#: checkpoint state at value_len=64 whose tags have been encoded before
+MIN_ENCODER_SPEEDUP = 2.0
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +163,123 @@ def test_kernel_speedup_vs_reference(field_name, vlen, kernel_timings):
                 f"{op}/{field_name}@{vlen}: kernel only {speedup:.1f}x faster "
                 f"than the scalar reference (need >= {MIN_SPEEDUP}x)"
             )
+
+
+# ---------------------------------------------------------------------------
+# the wire encoder vs the isinstance ladder it replaced (tests/reference_v7)
+
+
+def _recorded_states(tmp_path, value_len, keep=40):
+    """Checkpoint states a live 5-server cluster committed under a mixed
+    read/write load, largest first, as fresh objects (``decode`` of the
+    recorded bytes: no tag in them has been encoded yet)."""
+    code = example1_code(PrimeField(257), value_len=value_len)
+    rng = np.random.default_rng(value_len)
+    recorded: list[bytes] = []
+    persist = FileDurableStore.persist
+
+    def record_then_persist(self, checkpoint, defer=False):
+        recorded.append(reference_v7.encode(checkpoint.state))
+        return persist(self, checkpoint, defer=defer)
+
+    async def run():
+        cluster = AsyncioCluster(
+            code, config=ServerConfig(gc_interval=20.0), store_dir=tmp_path
+        )
+        await cluster.start()
+        clients = [await cluster.add_client(server=s) for s in range(code.N)]
+
+        async def work(k, client):
+            for i in range(30):
+                if (i + k) % 2:
+                    value = rng.integers(0, 256, value_len, dtype=np.int64)
+                    op = await client.write((i + k) % code.K, value)
+                else:
+                    op = await client.read((i + k) % code.K)
+                assert not op.failed
+
+        await asyncio.gather(*(work(k, c) for k, c in enumerate(clients)))
+        await cluster.quiesce()
+        await cluster.shutdown()
+
+    FileDurableStore.persist = record_then_persist
+    try:
+        asyncio.run(run())
+    finally:
+        FileDurableStore.persist = persist
+    recorded.sort(key=len, reverse=True)
+    return code, recorded[:keep]
+
+
+def _per_item_s(fn, items, rounds=5):
+    return best_of(lambda: [fn(x) for x in items], rounds) / len(items)
+
+
+@pytest.mark.parametrize("vlen", [64, 4096])
+def test_wire_encoder_vs_reference_on_recorded_state(vlen, tmp_path, kernel_timings):
+    """One checkpoint state section, the largest cost of a live commit:
+    new encoder vs ``reference_v7``, first with no tag encoded before
+    (cold: what a state pays once per tag), then with every tag carrying
+    its bytes (warm: what every later commit of that tag pays)."""
+    code, blobs = _recorded_states(tmp_path, vlen)
+    states = [wire.decode(b) for b in blobs]
+    t0 = time.perf_counter()
+    cold = [wire.encode(s) for s in states]
+    cold_s = (time.perf_counter() - t0) / len(states)
+    assert cold == blobs  # byte-identical to what the reference recorded
+    reference_s = _per_item_s(reference_v7.encode, states)
+    warm_s = _per_item_s(wire.encode, states)
+    assert [wire.encode(s) for s in states] == blobs
+    for regime, new_s in (("tags_cold", cold_s), ("tags_warm", warm_s)):
+        kernel_timings.append(
+            {
+                "op": "wire_encode_state",
+                "field": regime,
+                "value_len": vlen,
+                "code": code.name,
+                "kernel_s": new_s,
+                "reference_s": reference_s,
+                "speedup": reference_s / new_s,
+                "state_bytes": len(blobs[0]),
+            }
+        )
+    if vlen == 64:
+        assert reference_s / warm_s >= MIN_ENCODER_SPEEDUP, (
+            f"state encode only {reference_s / warm_s:.1f}x faster than the "
+            f"reference ladder (need >= {MIN_ENCODER_SPEEDUP}x)"
+        )
+
+
+def test_wire_encode_frames_vs_reference_on_a_mixed_batch(kernel_timings):
+    """What one flush writes: 300 frames, a third each ``App`` (64-symbol
+    value), ``Del`` and cumulative ack, tags shared the way peers share
+    them (one ``App`` tag is the ``Del`` tag a little later)."""
+    code = example1_code(PrimeField(257), value_len=64)
+    value = code.field.validate(np.arange(64))
+    frames = []
+    for i in range(100):
+        tag = Tag(VectorClock((300 + i, 17, 2, 4, 255)), 1000 + i % 5)
+        app, dele = App(i % code.K, value, tag), Del(i % code.K, tag, origin=i % 5)
+        app.size_bits = dele.size_bits = 1024.0
+        frames += [("d", 3 * i + 1, app), ("d", 3 * i + 2, dele), ("a", 3 * i)]
+    want = b"".join(reference_v7.encode_frame(f) for f in frames)
+    assert wire.encode_frames(frames) == want
+    reference_s = best_of(
+        lambda: b"".join(reference_v7.encode_frame(f) for f in frames), 5
+    )
+    new_s = best_of(lambda: wire.encode_frames(frames), 5)
+    kernel_timings.append(
+        {
+            "op": "wire_encode_frames_300",
+            "field": "app_del_ack",
+            "value_len": 64,
+            "code": code.name,
+            "kernel_s": new_s,
+            "reference_s": reference_s,
+            "speedup": reference_s / new_s,
+            "batch_bytes": len(want),
+        }
+    )
 
 
 @pytest.mark.parametrize("vlen", KERNEL_VLENS)

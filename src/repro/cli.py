@@ -184,10 +184,6 @@ def cmd_bench_macro(args: argparse.Namespace) -> int:
 
     if args.uvloop and install_uvloop():
         print("using uvloop")
-    if args.crc_compare and args.shards:
-        print("error: --crc-compare and --shards are mutually exclusive",
-              file=sys.stderr)
-        return 2
     rates = tuple(float(r) for r in args.rates.split(","))
     if args.shards:
         payload = run_sharded_sweep(
@@ -199,41 +195,6 @@ def cmd_bench_macro(args: argparse.Namespace) -> int:
             seed=args.seed,
             value_len=args.value_len,
         )
-    elif args.crc_compare:
-        from repro.runtime import wire
-
-        make = six_dc_code if args.code == "six-dc" else example1_code
-        code = make(PrimeField(257), value_len=args.value_len)
-        sweeps = {}
-        try:
-            for crc_on in (True, False):
-                wire.set_crc_enabled(crc_on)
-                sweeps[crc_on] = run_macro_sweep(
-                    code=code,
-                    rates=rates,
-                    duration=args.duration,
-                    read_ratio=args.read_ratio,
-                    seed=args.seed,
-                    compare_unbatched=False,
-                )
-        finally:
-            wire.set_crc_enabled(True)
-        for crc_on, sweep in sweeps.items():
-            for r in sweep["results"]:
-                r["crc"] = crc_on
-        on_rows = sweeps[True]["results"]
-        off_rows = sweeps[False]["results"]
-        best_on = max(r["ops_per_s"] for r in on_rows)
-        best_off = max(r["ops_per_s"] for r in off_rows)
-        payload = sweeps[True]
-        payload["results"] = on_rows + off_rows
-        payload["crc_compare"] = {
-            "crc_on_ops_per_s": best_on,
-            "crc_off_ops_per_s": best_off,
-            "overhead_pct": (
-                100.0 * (best_off - best_on) / best_off if best_off else 0.0
-            ),
-        }
     else:
         make = six_dc_code if args.code == "six-dc" else example1_code
         code = make(PrimeField(257), value_len=args.value_len)
@@ -249,8 +210,6 @@ def cmd_bench_macro(args: argparse.Namespace) -> int:
     def _lane(r: dict) -> str:
         if args.shards:
             return str(r["shards"])
-        if "crc" in r:
-            return "crc-on" if r["crc"] else "crc-off"
         return "on" if r["batch"] else "off"
 
     rows = [
@@ -269,18 +228,10 @@ def cmd_bench_macro(args: argparse.Namespace) -> int:
         for r in payload["results"]
     ]
     _print_table(
-        ["rate",
-         "shards" if args.shards else (
-             "crc" if args.crc_compare else "batch"),
-         "offered", "done",
+        ["rate", "shards" if args.shards else "batch", "offered", "done",
          "ops/s", "p50ms", "p99ms", "p999ms", "frames/op", "flushes/op"],
         rows,
     )
-    if args.crc_compare:
-        cc = payload["crc_compare"]
-        print(f"frame CRC overhead: {cc['crc_on_ops_per_s']:.1f} ops/s on "
-              f"vs {cc['crc_off_ops_per_s']:.1f} ops/s off "
-              f"({cc['overhead_pct']:+.1f}%)")
     out = Path(args.out)
     doc = append_bench_record(out, payload)
     print(f"appended run {len(doc['runs'])} to {out}")
@@ -811,9 +762,6 @@ def main(argv: list[str] | None = None) -> int:
                         "each its own coding group (0 = unsharded)")
     p.add_argument("--keys", type=int, default=8,
                    help="number of keys in the sharded lane's keyspace")
-    p.add_argument("--crc-compare", action="store_true",
-                   help="run every rate twice, frame CRC on vs off, and "
-                        "record the throughput overhead")
     p.add_argument("--out", default="BENCH_macro.json",
                    help="append the run record to this JSON file")
     p.set_defaults(fn=cmd_bench_macro)

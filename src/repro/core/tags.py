@@ -24,8 +24,7 @@ replaces vector timestamps by Lamport timestamps outright.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import total_ordering
+from dataclasses import dataclass, field
 
 __all__ = ["VectorClock", "Tag", "zero_tag", "LOCALHOST"]
 
@@ -97,24 +96,60 @@ class VectorClock:
         return f"VC{self.components}"
 
 
-@total_ordering
 @dataclass(frozen=True, slots=True)
 class Tag:
     """A write identifier: (vector timestamp, client id).
 
     Slotted: histories and servers hold one per write ever made.
+
+    Ordered by the key ``(ts.lamport, client_id, ts.components)`` (module
+    docstring); the four comparators are spelled out rather than derived
+    from ``__lt__``: ``max()`` over tags is on the servers' hot path.
+
+    ``_wire`` is not part of the value: it is where
+    :mod:`repro.runtime.wire` keeps the tag's encoded form once it has
+    encoded it (a tag is frozen, so the bytes cannot go stale).  Not an
+    ``__init__`` argument, not compared, hashed or printed; a tag built by
+    ``dataclasses.replace`` starts without one.
     """
 
     ts: VectorClock
     client_id: int
-
-    def _key(self) -> tuple[int, int, tuple[int, ...]]:
-        return (self.ts.lamport, self.client_id, self.ts.components)
+    _wire: bytes | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __lt__(self, other: "Tag") -> bool:
         if not isinstance(other, Tag):
             return NotImplemented
-        return self._key() < other._key()
+        a, b = self.ts, other.ts
+        return (a._lamport, self.client_id, a.components) < (
+            b._lamport, other.client_id, b.components
+        )
+
+    def __le__(self, other: "Tag") -> bool:
+        if not isinstance(other, Tag):
+            return NotImplemented
+        a, b = self.ts, other.ts
+        return (a._lamport, self.client_id, a.components) <= (
+            b._lamport, other.client_id, b.components
+        )
+
+    def __gt__(self, other: "Tag") -> bool:
+        if not isinstance(other, Tag):
+            return NotImplemented
+        a, b = self.ts, other.ts
+        return (a._lamport, self.client_id, a.components) > (
+            b._lamport, other.client_id, b.components
+        )
+
+    def __ge__(self, other: "Tag") -> bool:
+        if not isinstance(other, Tag):
+            return NotImplemented
+        a, b = self.ts, other.ts
+        return (a._lamport, self.client_id, a.components) >= (
+            b._lamport, other.client_id, b.components
+        )
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -25,7 +25,9 @@ This codec is a small, explicit, recursive tagged-binary format:
 * :class:`~repro.core.tags.VectorClock` and :class:`~repro.core.tags.Tag`
   have dedicated tags (they dominate protocol traffic); a clock whose
   components all fit one (two) bytes is a count byte plus one (two) bytes
-  per component, anything else 8 bytes per component;
+  per component, anything else 8 bytes per component.  A ``Tag`` is frozen,
+  so the encoder leaves its bytes on the tag the first time it encodes it
+  and appends them from then on;
 * registered classes -- every ``core/messages.py`` dataclass plus the
   durable-state containers -- encode as a class id followed by their fields
   in an **explicit registered order**.  Field order is part of the wire
@@ -45,9 +47,8 @@ Since v5 every frame carries a CRC32 (IEEE, as ``zlib.crc32``) of the
 encoded value, flagged in bit 0 of the flags byte.  A mismatch raises
 :class:`FrameCorrupt`; receivers treat it exactly like a dropped frame and
 let ARQ retransmission mask it, so on-wire corruption costs latency, never
-correctness.  :func:`set_crc_enabled` clears the flag on *emitted* frames
-(for overhead benchmarking); decoders always accept both forms, checking
-the CRC only when the flag is set.
+correctness.  Every frame this module emits carries the CRC; decoders
+still honour the per-frame flag, checking the CRC only when it is set.
 
 Copies
 ------
@@ -69,7 +70,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -119,8 +120,6 @@ __all__ = [
     "decode_body",
     "register",
     "registered_classes",
-    "set_crc_enabled",
-    "crc_enabled",
 ]
 
 #: Bumped on any incompatible change to the encoding or the class registry.
@@ -207,6 +206,198 @@ _SMALL_INT = tuple(bytes((_T_UINT8, v)) for v in range(256))
 
 
 # ---------------------------------------------------------------------------
+# encoding
+#
+# One dispatch on ``type(obj)``: ``_ENCODERS`` maps an exact type to the
+# function that appends a value's chunks to ``out``.  Containers look their
+# items up inline, so encoding a value costs one dict probe per node, not a
+# walk down an ``isinstance`` chain.  A type the table has not seen is
+# resolved once by :func:`_resolve`, in the order of the chain this table
+# replaced (``tests/reference_v7.py`` keeps that chain as the oracle: the
+# bytes are its bytes).
+
+_NONE = bytes((_T_NONE,))
+_TRUE = bytes((_T_TRUE,))
+_FALSE = bytes((_T_FALSE,))
+_TAG_HEAD = bytes((_T_TAG,))
+_NDARRAY_HEAD = bytes((_T_NDARRAY,))
+_TAGGED_U32 = struct.Struct(">BI")  # a type tag and a length
+_TAGGED_F64 = struct.Struct(">Bd")
+
+_ENCODERS: dict[type, Callable[[list, Any], None]] = {}
+_encoder_for = _ENCODERS.get
+
+
+def _encode_into(out: list[bytes | memoryview], obj: Any) -> None:
+    (_encoder_for(type(obj)) or _resolve(type(obj)))(out, obj)
+
+
+def _enc_none(out: list, obj: None) -> None:
+    out.append(_NONE)
+
+
+def _enc_bool(out: list, obj: bool) -> None:
+    out.append(_TRUE if obj else _FALSE)
+
+
+def _enc_int(out: list, v: int) -> None:
+    if 0 <= v < 256:
+        out.append(_SMALL_INT[v])
+    elif 0 <= v < 65536:
+        out.append(_TAGGED_U16.pack(_T_UINT16, v))
+    elif _I64_MIN <= v <= _I64_MAX:
+        out.append(_TAGGED_I64.pack(_T_INT, v))
+    else:
+        raw = v.to_bytes((v.bit_length() + 8) // 8, "big", signed=True)
+        out.append(_TAGGED_U32.pack(_T_BIGINT, len(raw)) + raw)
+
+
+def _enc_int_like(out: list, obj: Any) -> None:
+    _enc_int(out, int(obj))  # IntEnum members, numpy integer scalars
+
+
+def _enc_float(out: list, obj: Any) -> None:
+    out.append(_TAGGED_F64.pack(_T_FLOAT, obj))
+
+
+def _enc_str(out: list, obj: str) -> None:
+    raw = obj.encode("utf-8")
+    out.append(_TAGGED_U32.pack(_T_STR, len(raw)) + raw)
+
+
+def _enc_bytes(out: list, obj: bytes | bytearray) -> None:
+    out.append(_TAGGED_U32.pack(_T_BYTES, len(obj)) + obj)
+
+
+def _enc_tuple(out: list, obj: tuple) -> None:
+    out.append(_TAGGED_U32.pack(_T_TUPLE, len(obj)))
+    for item in obj:
+        (_encoder_for(type(item)) or _resolve(type(item)))(out, item)
+
+
+def _enc_list(out: list, obj: list) -> None:
+    out.append(_TAGGED_U32.pack(_T_LIST, len(obj)))
+    for item in obj:
+        (_encoder_for(type(item)) or _resolve(type(item)))(out, item)
+
+
+def _enc_dict(out: list, obj: dict) -> None:
+    out.append(_TAGGED_U32.pack(_T_DICT, len(obj)))
+    for k, v in obj.items():
+        (_encoder_for(type(k)) or _resolve(type(k)))(out, k)
+        (_encoder_for(type(v)) or _resolve(type(v)))(out, v)
+
+
+def _enc_set(out: list, obj: set | frozenset) -> None:
+    # sorted-bytes order makes set encoding deterministic
+    items = []
+    for item in obj:
+        parts: list = []
+        (_encoder_for(type(item)) or _resolve(type(item)))(parts, item)
+        items.append(parts[0] if len(parts) == 1 else b"".join(parts))
+    items.sort()
+    out.append(_TAGGED_U32.pack(_T_SET, len(items)))
+    out.extend(items)
+
+
+def _enc_ndarray(out: list, obj: np.ndarray) -> None:
+    arr = np.ascontiguousarray(obj)
+    # a flat byte view, not tobytes(): the only copy of the payload
+    # happens in the final join
+    raw = memoryview(arr).cast("B")
+    out.append(_NDARRAY_HEAD)
+    _enc_str(out, arr.dtype.str)
+    _enc_tuple(out, arr.shape)
+    out.append(_U32.pack(raw.nbytes))
+    out.append(raw)
+
+
+def _enc_vector_clock(out: list, obj: VectorClock) -> None:
+    comps = obj.components
+    n = len(comps)
+    # a count byte and unsigned components, or only the 8-byte form fits
+    top = max(comps) if 0 < n < 256 and min(comps) >= 0 else 1 << 16
+    if top < 256:
+        out.append(bytes((_T_VC8, n, *comps)))
+    elif top < 1 << 16:
+        out.append(struct.pack(f">BB{n}H", _T_VC16, n, *comps))
+    else:
+        out.append(struct.pack(f">BI{n}q", _T_VC, n, *comps))
+
+
+def _enc_tag(out: list, obj: Tag) -> None:
+    raw = obj._wire
+    if raw is None:
+        # first encode of this tag: it is frozen, so these are its bytes
+        # for good.  (Only frozen classes may carry a memo -- a
+        # VectorClock's slots are assignable -- and the decoder never
+        # fills it: most decoded tags are never encoded again.)
+        parts = [_TAG_HEAD]
+        _encode_into(parts, obj.ts)
+        _encode_into(parts, obj.client_id)
+        raw = b"".join(parts)
+        object.__setattr__(obj, "_wire", raw)
+    out.append(raw)
+
+
+def _class_encoder(
+    class_id: int, fields: tuple[str, ...]
+) -> Callable[[list, Any], None]:
+    head = _TAGGED_U16.pack(_T_OBJ, class_id)
+
+    def enc(out: list, obj: Any) -> None:
+        out.append(head)
+        for name in fields:
+            item = getattr(obj, name)
+            (_encoder_for(type(item)) or _resolve(type(item)))(out, item)
+
+    return enc
+
+
+_ENCODERS.update({type(None): _enc_none, bool: _enc_bool, int: _enc_int})
+
+#: What a type not in ``_ENCODERS`` encodes as: the first arm that claims
+#: it, top to bottom -- the order of the ``isinstance`` chain every wire
+#: version up to this table used (``bool`` and ``None`` sat above it and
+#: cannot be subclassed).  So ``IntEnum`` members and numpy integer
+#: scalars are ints (``np.bool_`` is neither and stays rejected), a
+#: namedtuple is a tuple, ``OrderedDict``/``defaultdict`` are dicts, ndarray
+#: subclasses are ndarrays -- and a registered class that also subclasses
+#: one of these encodes as the builtin, as it always did.
+_SUBCLASS_ARMS: tuple[tuple[Any, Callable[[list, Any], None]], ...] = (
+    ((int, np.integer), _enc_int_like),
+    ((float, np.floating), _enc_float),
+    (str, _enc_str),
+    ((bytes, bytearray), _enc_bytes),
+    (tuple, _enc_tuple),
+    (list, _enc_list),
+    (dict, _enc_dict),
+    ((set, frozenset), _enc_set),
+    (np.ndarray, _enc_ndarray),
+    (VectorClock, _enc_vector_clock),
+    (Tag, _enc_tag),
+)
+
+
+def _resolve(cls: type) -> Callable[[list, Any], None]:
+    """Find, install and return the encoder of a type new to the table.
+
+    A failure is not remembered: an unregistered type raises every time,
+    and encodes as soon as it is registered.
+    """
+    for bases, enc in _SUBCLASS_ARMS:
+        if issubclass(cls, bases):
+            break
+    else:
+        entry = _BY_CLASS.get(cls)
+        if entry is None:
+            raise WireError(f"cannot encode unregistered type {cls.__name__}")
+        enc = _class_encoder(*entry)
+    _ENCODERS[cls] = enc
+    return enc
+
+
+# ---------------------------------------------------------------------------
 # class registry
 
 #: class id -> (class, field order); the inverse map speeds up encoding.
@@ -219,6 +410,9 @@ def register(class_id: int, cls: type, fields: tuple[str, ...]) -> None:
 
     Ids and field orders are part of the wire contract: never reuse a
     retired id, never reorder fields without bumping :data:`WIRE_VERSION`.
+    The class's encoder (its ``_T_OBJ || class id`` head and field tuple
+    bound once) is built here, so registering after import is enough for
+    the next :func:`encode` to see it.
     """
     if class_id in _REGISTRY and _REGISTRY[class_id][0] is not cls:
         raise ValueError(f"wire class id {class_id} already registered")
@@ -226,6 +420,8 @@ def register(class_id: int, cls: type, fields: tuple[str, ...]) -> None:
         raise ValueError(f"{cls.__name__} already registered")
     _REGISTRY[class_id] = (cls, fields)
     _BY_CLASS[cls] = (class_id, fields)
+    _ENCODERS.pop(cls, None)  # a re-registration may bring new fields
+    _resolve(cls)
 
 
 def registered_classes() -> dict[int, type]:
@@ -301,92 +497,9 @@ register(
 )
 
 
-# ---------------------------------------------------------------------------
-# encoding
-
-def _encode_into(out: list[bytes | memoryview], obj: Any) -> None:
-    if obj is None:
-        out.append(bytes([_T_NONE]))
-    elif obj is True:
-        out.append(bytes([_T_TRUE]))
-    elif obj is False:
-        out.append(bytes([_T_FALSE]))
-    elif isinstance(obj, (int, np.integer)):  # bools were handled above
-        v = int(obj)
-        if 0 <= v < 256:
-            out.append(_SMALL_INT[v])
-        elif 0 <= v < 65536:
-            out.append(_TAGGED_U16.pack(_T_UINT16, v))
-        elif _I64_MIN <= v <= _I64_MAX:
-            out.append(_TAGGED_I64.pack(_T_INT, v))
-        else:
-            raw = v.to_bytes((v.bit_length() + 8) // 8, "big", signed=True)
-            out.append(bytes([_T_BIGINT]) + _U32.pack(len(raw)) + raw)
-    elif isinstance(obj, (float, np.floating)):
-        out.append(bytes([_T_FLOAT]) + _F64.pack(float(obj)))
-    elif isinstance(obj, str):
-        raw = obj.encode("utf-8")
-        out.append(bytes([_T_STR]) + _U32.pack(len(raw)) + raw)
-    elif isinstance(obj, (bytes, bytearray)):
-        out.append(bytes([_T_BYTES]) + _U32.pack(len(obj)) + bytes(obj))
-    elif isinstance(obj, tuple):
-        out.append(bytes([_T_TUPLE]) + _U32.pack(len(obj)))
-        for item in obj:
-            _encode_into(out, item)
-    elif isinstance(obj, list):
-        out.append(bytes([_T_LIST]) + _U32.pack(len(obj)))
-        for item in obj:
-            _encode_into(out, item)
-    elif isinstance(obj, dict):
-        out.append(bytes([_T_DICT]) + _U32.pack(len(obj)))
-        for k, v in obj.items():
-            _encode_into(out, k)
-            _encode_into(out, v)
-    elif isinstance(obj, (set, frozenset)):
-        # sorted-bytes order makes set encoding deterministic
-        items = sorted(encode(item) for item in obj)
-        out.append(bytes([_T_SET]) + _U32.pack(len(items)))
-        out.extend(items)
-    elif isinstance(obj, np.ndarray):
-        arr = np.ascontiguousarray(obj)
-        # a flat byte view, not tobytes(): the only copy of the payload
-        # happens in the final join
-        raw = memoryview(arr).cast("B")
-        out.append(bytes([_T_NDARRAY]))
-        _encode_into(out, arr.dtype.str)
-        _encode_into(out, arr.shape)
-        out.append(_U32.pack(raw.nbytes))
-        out.append(raw)
-    elif isinstance(obj, VectorClock):
-        comps = obj.components
-        n = len(comps)
-        # a count byte and unsigned components, or only the 8-byte form fits
-        top = max(comps) if 0 < n < 256 and min(comps) >= 0 else 1 << 16
-        if top < 256:
-            out.append(bytes((_T_VC8, n, *comps)))
-        elif top < 1 << 16:
-            out.append(struct.pack(f">BB{n}H", _T_VC16, n, *comps))
-        else:
-            out.append(bytes([_T_VC]) + _U32.pack(n))
-            for c in comps:
-                out.append(_I64.pack(c))
-    elif isinstance(obj, Tag):
-        out.append(bytes([_T_TAG]))
-        _encode_into(out, obj.ts)
-        _encode_into(out, obj.client_id)
-    else:
-        entry = _BY_CLASS.get(type(obj))
-        if entry is None:
-            raise WireError(f"cannot encode unregistered type {type(obj).__name__}")
-        class_id, fields = entry
-        out.append(bytes([_T_OBJ]) + _U16.pack(class_id))
-        for name in fields:
-            _encode_into(out, getattr(obj, name))
-
-
 def encode(obj: Any) -> bytes:
     """Encode one value (no frame header)."""
-    out: list[bytes] = []
+    out: list[bytes | memoryview] = []
     _encode_into(out, obj)
     return b"".join(out)
 
@@ -522,46 +635,25 @@ def decode(data: bytes | bytearray | memoryview) -> Any:
 #: flags byte, bit 0: a u32 CRC32 of the encoded value follows the flags.
 _FLAG_CRC = 0x01
 
-#: ``length || version || flags || crc`` and ``length || version || flags``.
+#: ``length || version || flags || crc``
 _HDR_CRC = struct.Struct(">IBBI")
-_HDR_PLAIN = struct.Struct(">IBB")
-
-#: Whether emitted frames carry a CRC.  Decoders always honour the per-frame
-#: flag, so mixed traffic is fine; this exists for the bench-macro overhead
-#: comparison, not as a compatibility knob.
-_crc_enabled = True
-
-
-def set_crc_enabled(enabled: bool) -> None:
-    """Toggle the CRC32 on frames *emitted* by this process."""
-    global _crc_enabled
-    _crc_enabled = bool(enabled)
-
-
-def crc_enabled() -> bool:
-    """Whether emitted frames currently carry a CRC32."""
-    return _crc_enabled
 
 
 def _frame_into(out: list[bytes | memoryview], obj: Any) -> None:
     """Append one frame's chunks (length word included) to ``out``."""
     mark = len(out)
+    out.append(b"")  # the header's place, filled once the body is known
     _encode_into(out, obj)
-    if _crc_enabled:
-        # incremental CRC over the body chunks: the body is still laid
-        # down exactly once, in the caller's single join
-        body_len = 0
-        crc = 0
-        for part in out[mark:]:
-            body_len += len(part)
-            crc = zlib.crc32(part, crc)
-        header = _HDR_CRC.pack(body_len + 6, WIRE_VERSION, _FLAG_CRC, crc)
-    else:
-        body_len = sum(len(part) for part in out[mark:])
-        header = _HDR_PLAIN.pack(body_len + 2, WIRE_VERSION, 0)
+    # incremental CRC over the body chunks: the body is still laid down
+    # exactly once, in the caller's single join
+    body_len = 0
+    crc = 0
+    for part in out[mark + 1 :]:
+        body_len += len(part)
+        crc = zlib.crc32(part, crc)
     if body_len > MAX_FRAME_BYTES:
         raise WireError(f"frame of {body_len} bytes exceeds MAX_FRAME_BYTES")
-    out.insert(mark, header)
+    out[mark] = _HDR_CRC.pack(body_len + 6, WIRE_VERSION, _FLAG_CRC, crc)
 
 
 def encode_frame(obj: Any) -> bytes:

@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.ec import GF256, PrimeField, example1_code
+
+#: CI's second pass over the encoder-vs-oracle properties
+#: (``--hypothesis-profile=oracle --hypothesis-seed=0``); tests that pin
+#: ``max_examples`` themselves are unaffected.
+settings.register_profile("oracle", max_examples=2000, deadline=None)
 
 
 @pytest.fixture(params=["gf7", "gf257", "gf256"])

@@ -2,6 +2,8 @@
 
 import copy
 import dataclasses
+import functools
+import operator
 import pickle
 
 import pytest
@@ -9,6 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.tags import LOCALHOST, Tag, VectorClock, zero_tag
+from repro.runtime import wire
+
+from tests import reference_v7
 
 clocks = st.lists(st.integers(0, 20), min_size=3, max_size=3).map(
     lambda xs: VectorClock(tuple(xs))
@@ -95,6 +100,44 @@ def test_tag_total_order_transitivity(a, b, c):
         assert a < c
 
 
+@functools.total_ordering
+class _DerivedOrder:
+    """``Tag``'s ordering as it was defined before the comparators were
+    written out: ``__lt__`` on the key, ``__eq__`` on the fields, the other
+    three derived by ``functools.total_ordering``."""
+
+    def __init__(self, tag):
+        self.ts, self.client_id = tag.ts, tag.client_id
+
+    def _key(self):
+        return (self.ts.lamport, self.client_id, self.ts.components)
+
+    def __lt__(self, other):
+        return self._key() < other._key()
+
+    def __eq__(self, other):
+        return self.ts == other.ts and self.client_id == other.client_id
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=tags, b=tags)
+def test_all_six_comparisons_agree_with_the_derived_order(a, b):
+    old_a, old_b = _DerivedOrder(a), _DerivedOrder(b)
+    for op in (operator.lt, operator.le, operator.gt, operator.ge,
+               operator.eq, operator.ne):
+        assert op(a, b) is op(old_a, old_b), op.__name__
+    assert max(a, b) == (b if old_b > old_a else a)
+    assert sorted([b, a]) == sorted([a, b]) == ([a, b] if old_a <= old_b else [b, a])
+
+
+def test_tag_comparison_with_other_types_is_not_implemented():
+    t = Tag(VectorClock((1, 0)), 3)
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            op(t, 3)
+    assert t != 3 and not (t == (t.ts, 3))
+
+
 @settings(max_examples=200, deadline=None)
 @given(a=tags, b=tags)
 def test_tag_refines_causal_order(a, b):
@@ -120,6 +163,46 @@ def test_slotted_tag_copies_and_pickles_unchanged(t):
     # deep copies of containers keep shared tags shared
     pair = copy.deepcopy([t, t])
     assert pair[0] is pair[1]
+
+
+# -- the encoded-form slot (``Tag._wire``) is not part of the value ---------
+
+
+def test_tag_constructor_takes_two_arguments():
+    with pytest.raises(TypeError):
+        Tag(VectorClock((1, 0)), 3, b"\x0e")
+    with pytest.raises(TypeError):
+        Tag(VectorClock((1, 0)), 3, _wire=b"\x0e")
+
+
+@given(tags)
+def test_encoded_and_unencoded_equal_tags_are_indistinguishable(t):
+    fresh = Tag(VectorClock(t.ts.components), t.client_id)
+    wire.encode(t)
+    assert t._wire is not None and fresh._wire is None
+    assert t == fresh and fresh == t and hash(t) == hash(fresh)
+    assert not (t < fresh) and not (fresh < t) and t <= fresh and t >= fresh
+    other = Tag(t.ts.increment(0), t.client_id)
+    assert sorted([other, t]) == sorted([other, fresh]) == [t, other]
+    assert repr(t) == repr(fresh) and "_wire" not in repr(t)
+    assert {t: 1}[fresh] == 1 and len({t, fresh}) == 1
+
+
+@given(tags, st.integers(6, 70_000))
+def test_copies_encode_for_their_own_fields(t, other_id):
+    wire.encode(t)  # the original carries its bytes from here on
+    for clone in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert clone == t
+        assert wire.encode(clone) == reference_v7.encode(clone) == wire.encode(t)
+    moved = dataclasses.replace(t, client_id=other_id)
+    assert moved._wire is None  # a new tag starts without the old one's bytes
+    assert moved != t and moved.client_id == other_id
+    assert wire.encode(moved) == reference_v7.encode(moved) != wire.encode(t)
+    assert wire.decode(wire.encode(moved)) == moved
+    later = dataclasses.replace(t, ts=t.ts.increment(1))
+    assert wire.encode(later) == reference_v7.encode(later) != wire.encode(t)
+    with pytest.raises(ValueError):
+        dataclasses.replace(t, _wire=b"")
 
 
 def test_tag_stays_frozen():
