@@ -27,6 +27,11 @@ from repro.protocol.server_core import ServerConfig
 from repro.runtime import wire
 from repro.runtime.asyncio_rt import AsyncioCluster, FileDurableStore
 from tests import reference_v7
+from tests.ec_reference import (
+    decode_reference,
+    encode_reference,
+    reencode_reference,
+)
 
 VLEN = 4096
 
@@ -83,7 +88,7 @@ def test_bench_decode(benchmark, rs_code, rs_values):
 
 
 # ---------------------------------------------------------------------------
-# vectorized field kernels vs the retained scalar _reference path
+# vectorized field kernels vs the scalar-loop oracles in tests/ec_reference.py
 
 
 @pytest.fixture(scope="module")
@@ -131,15 +136,15 @@ def test_kernel_speedup_vs_reference(field_name, vlen, kernel_timings):
     pairs = {
         "encode": (
             lambda: code.encode(5, values),
-            lambda: code._encode_reference(5, values),
+            lambda: encode_reference(code, 5, values),
         ),
         "reencode": (
             lambda: code.reencode(5, sym5, 2, values[2], new),
-            lambda: code._reencode_reference(5, sym5, 2, values[2], new),
+            lambda: reencode_reference(code, 5, sym5, 2, values[2], new),
         ),
         "decode": (
             lambda: code.decode(1, symbols),
-            lambda: code._decode_reference(1, symbols),
+            lambda: decode_reference(code, 1, symbols),
         ),
     }
     for op, (kernel, reference) in pairs.items():

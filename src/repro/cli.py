@@ -7,9 +7,6 @@ Commands:
 * ``ycsb``    -- the Sec. 4.2 YCSB storage analysis at paper scale.
 * ``design``  -- run the cross-object code designer on the AWS topology.
 * ``bench``   -- a quick throughput/latency run of CausalEC under load.
-* ``bench-macro`` -- open-loop throughput/latency sweep on the live
-  cluster (``--shards N`` for the sharded lane), appending run records
-  to ``BENCH_macro.json``.
 * ``reshard`` -- live resharding demo: add a shard under traffic with
   the online causal auditor attached.
 * ``reconfig`` -- live dynamic-membership demo: add, remove, or
@@ -171,73 +168,6 @@ def _cli_code(name: str):
     return six_dc_code() if name == "six-dc" else example1_code()
 
 
-def cmd_bench_macro(args: argparse.Namespace) -> int:
-    """Open-loop macro benchmark against the live asyncio cluster."""
-    from pathlib import Path
-
-    from repro.ec.codes import example1_code, six_dc_code
-    from repro.ec.field import PrimeField
-    from repro.runtime.asyncio_rt import install_uvloop
-    from repro.workloads.live_open_loop import run_macro_sweep
-    from repro.workloads.records import append_bench_record
-    from repro.workloads.sharded_open_loop import run_sharded_sweep
-
-    if args.uvloop and install_uvloop():
-        print("using uvloop")
-    rates = tuple(float(r) for r in args.rates.split(","))
-    if args.shards:
-        payload = run_sharded_sweep(
-            num_shards=args.shards,
-            num_keys=args.keys,
-            rates=rates,
-            duration=args.duration,
-            read_ratio=args.read_ratio,
-            seed=args.seed,
-            value_len=args.value_len,
-        )
-    else:
-        make = six_dc_code if args.code == "six-dc" else example1_code
-        code = make(PrimeField(257), value_len=args.value_len)
-        payload = run_macro_sweep(
-            code=code,
-            rates=rates,
-            duration=args.duration,
-            read_ratio=args.read_ratio,
-            seed=args.seed,
-            compare_unbatched=not args.no_compare,
-        )
-
-    def _lane(r: dict) -> str:
-        if args.shards:
-            return str(r["shards"])
-        return "on" if r["batch"] else "off"
-
-    rows = [
-        [
-            f"{r['rate']:g}",
-            _lane(r),
-            r["offered"],
-            r["completed"],
-            f"{r['ops_per_s']:.1f}",
-            f"{r['p50_ms']:.2f}" if r["p50_ms"] is not None else "-",
-            f"{r['p99_ms']:.2f}" if r["p99_ms"] is not None else "-",
-            f"{r['p999_ms']:.2f}" if r["p999_ms"] is not None else "-",
-            f"{r['frames_per_op']:.1f}",
-            f"{r['flushes_per_op']:.1f}",
-        ]
-        for r in payload["results"]
-    ]
-    _print_table(
-        ["rate", "shards" if args.shards else "batch", "offered", "done",
-         "ops/s", "p50ms", "p99ms", "p999ms", "frames/op", "flushes/op"],
-        rows,
-    )
-    out = Path(args.out)
-    doc = append_bench_record(out, payload)
-    print(f"appended run {len(doc['runs'])} to {out}")
-    return 0
-
-
 def cmd_reshard(args: argparse.Namespace) -> int:
     """Live resharding demo: add a shard under traffic, audit the history."""
     import asyncio
@@ -245,8 +175,10 @@ def cmd_reshard(args: argparse.Namespace) -> int:
     from repro.core.server import ServerConfig
     from repro.protocol.client_core import RetryPolicy
     from repro.runtime.sharded_rt import ShardedAsyncioCluster
-    from repro.workloads.live_open_loop import LiveOpenLoopConfig
-    from repro.workloads.sharded_open_loop import ShardedOpenLoopDriver
+    from repro.workloads.sharded_open_loop import (
+        LiveOpenLoopConfig,
+        ShardedOpenLoopDriver,
+    )
 
     keys = [f"key{i:03d}" for i in range(args.keys)]
 
@@ -738,33 +670,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--max-latency", type=float, default=10.0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_bench)
-
-    p = sub.add_parser(
-        "bench-macro",
-        help="open-loop ops/s + latency sweep on the live cluster",
-    )
-    p.add_argument("--code", default="example1", choices=["example1", "six-dc"])
-    p.add_argument(
-        "--rates", default="60,120",
-        help="comma-separated cluster-wide arrival rates (ops/s)",
-    )
-    p.add_argument("--duration", type=float, default=1.5,
-                   help="seconds of arrivals per rate")
-    p.add_argument("--read-ratio", type=float, default=0.5)
-    p.add_argument("--value-len", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-compare", action="store_true",
-                   help="skip the unbatched comparison lane")
-    p.add_argument("--uvloop", action="store_true",
-                   help="use uvloop when installed")
-    p.add_argument("--shards", type=int, default=0,
-                   help="run the sharded lane: N consistent-hash shards, "
-                        "each its own coding group (0 = unsharded)")
-    p.add_argument("--keys", type=int, default=8,
-                   help="number of keys in the sharded lane's keyspace")
-    p.add_argument("--out", default="BENCH_macro.json",
-                   help="append the run record to this JSON file")
-    p.set_defaults(fn=cmd_bench_macro)
 
     p = sub.add_parser(
         "reshard",

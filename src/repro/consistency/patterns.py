@@ -68,11 +68,6 @@ def has_cycle(adj: np.ndarray) -> bool:
     return removed < n
 
 
-# backward-compatible private aliases
-_transitive_closure = transitive_closure
-_has_cycle = has_cycle
-
-
 def check_causal_bad_patterns(
     history: History,
     zero_value,
@@ -141,7 +136,7 @@ def check_causal_bad_patterns(
         co[w, i] = True
         reads_of.append((i, w))
 
-    co = _transitive_closure(co)
+    co = transitive_closure(co)
 
     # CyclicCO
     if bool(np.any(np.diag(co))):
@@ -176,7 +171,7 @@ def check_causal_bad_patterns(
             if w2 != w:
                 cf[wpos[w2], wpos[w]] = True
 
-    if _has_cycle(cf):
+    if has_cycle(cf):
         violations.append(
             "CyclicCF: no arbitration total order satisfies the reads"
         )

@@ -65,9 +65,3 @@ class Client(EffectNode, ClientCore):
         op, effects = self.start_read(obj, self.scheduler.now)
         self.interpret(effects)
         return op
-
-    def migrate(self, obj: int, value: np.ndarray, gen: int) -> Operation:
-        """Install a migrated value (view-change coordinators only)."""
-        op, effects = self.start_migrate(obj, value, gen, self.scheduler.now)
-        self.interpret(effects)
-        return op

@@ -161,24 +161,6 @@ class LinearCode:
         off = self._row_offsets
         return [prod[off[s] : off[s + 1]].copy() for s in range(self.N)]
 
-    def _encode_reference(self, s: int, values: Sequence[np.ndarray]) -> np.ndarray:
-        """Pre-kernel scalar-loop Phi_s (ground truth for property tests)."""
-        if len(values) != self.K:
-            raise ValueError(f"expected {self.K} object values")
-        g = self.matrices[s]
-        f = self.field
-        out = self.zero_symbol(s)
-        for j in range(g.shape[0]):
-            for k in range(self.K):
-                c = int(g[j, k])
-                if c:
-                    v = values[k]
-                    for t in range(self.value_len):
-                        out[j, t] = f.s_add(
-                            int(out[j, t]), f.s_mul(c, int(v[t]))
-                        )
-        return out
-
     def reencode(
         self,
         s: int,
@@ -225,26 +207,6 @@ class LinearCode:
         return self.field.fold(
             sym, self.matrices[s][:, ks], np.concatenate(news), np.concatenate(olds)
         )
-
-    def _reencode_reference(
-        self,
-        s: int,
-        symbol: np.ndarray,
-        k: int,
-        old_value: np.ndarray,
-        new_value: np.ndarray,
-    ) -> np.ndarray:
-        """Pre-kernel scalar-loop Gamma_{s,k} (ground truth for tests)."""
-        g = self.matrices[s]
-        f = self.field
-        out = np.array(symbol, dtype=f.storage_dtype)
-        for j in range(g.shape[0]):
-            c = int(g[j, k])
-            if c:
-                for t in range(self.value_len):
-                    d = f.s_sub(int(new_value[t]), int(old_value[t]))
-                    out[j, t] = f.s_add(int(out[j, t]), f.s_mul(c, d))
-        return out
 
     def _check_symbol(self, s: int, symbol: np.ndarray) -> np.ndarray:
         sym = np.asarray(symbol)  # shape check only, like _value_row
@@ -335,27 +297,6 @@ class LinearCode:
         self, servers: Sequence[int], symbols: Mapping[int, np.ndarray]
     ) -> np.ndarray:
         return self._wide_stack([self._check_symbol(s, symbols[s]) for s in servers])
-
-    def _decode_reference(
-        self, k: int, symbols: Mapping[int, np.ndarray]
-    ) -> np.ndarray | None:
-        """Pre-kernel scalar-loop Psi (ground truth for property tests)."""
-        servers = tuple(sorted(symbols))
-        lam = self._decoding_coefficients(servers, k)
-        if lam is None:
-            return None
-        f = self.field
-        out = f.zeros(self.value_len)
-        idx = 0
-        for s in servers:
-            sym = symbols[s]
-            for j in range(self.symbols_at(s)):
-                c = int(lam[idx])
-                if c:
-                    for t in range(self.value_len):
-                        out[t] = f.s_add(int(out[t]), f.s_mul(c, int(sym[j][t])))
-                idx += 1
-        return out
 
     def recovery_servers(self, k: int) -> frozenset[int]:
         """Servers that participate in at least one minimal recovery set."""

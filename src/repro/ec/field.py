@@ -59,9 +59,8 @@ is built on:
 :class:`PrimeField` implements them with a single int64 GEMM plus one modular
 reduction (chunked along the inner dimension when the worst-case partial sum
 could overflow int64); :class:`BinaryExtensionField` uses log/antilog gathers
-with an XOR accumulation.  ``Field.matmul_reference`` is the schoolbook
-per-element ground truth used by the property tests in
-``tests/test_vectorized_kernels.py``.
+with an XOR accumulation.  The schoolbook per-element ground truth they are
+property-tested against lives in ``tests/ec_reference.py``.
 """
 
 from __future__ import annotations
@@ -155,9 +154,6 @@ class Field:
     def s_inv(self, a: int) -> int:
         raise NotImplementedError
 
-    def s_div(self, a: int, b: int) -> int:
-        return self.s_mul(a, self.s_inv(b))
-
     # -- vector operations -------------------------------------------------
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -175,22 +171,8 @@ class Field:
     # -- batched kernels ---------------------------------------------------
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Field matrix product of ``a`` (m, k) and ``b`` (k, n).
-
-        This generic implementation is the pre-kernel row-loop (one
-        ``scalar_mul``/``add`` pass per nonzero coefficient); subclasses
-        override it with fully batched arithmetic.
-        """
-        a, b = self._check_matmul_args(a, b)
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=self.storage_dtype)
-        for i in range(a.shape[0]):
-            acc = self.zeros(b.shape[1])
-            for t in range(a.shape[1]):
-                c = int(a[i, t])
-                if c:
-                    acc = self.add(acc, self.scalar_mul(c, b[t]))
-            out[i] = acc
-        return out
+        """Field matrix product of ``a`` (m, k) and ``b`` (k, n)."""
+        raise NotImplementedError
 
     def matvec(self, a: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Field matrix--vector product of ``a`` (m, k) and ``x`` (k,)."""
@@ -206,19 +188,7 @@ class Field:
         one coefficient per row of ``y`` and ``x`` is the (pivot) row being
         folded in.  Pure: returns a new array.
         """
-        x = self._wide(x)
-        y = self._wide(y)
-        if np.ndim(c) == 0:
-            return self.add(y, self.scalar_mul(self.check_scalar(c), x))
-        c = self.validate(c)
-        if c.ndim != 1 or y.shape != (c.shape[0],) + x.shape:
-            raise ValueError("axpy shape mismatch")
-        out = np.array(y, dtype=self.storage_dtype)
-        for i in range(c.shape[0]):
-            ci = int(c[i])
-            if ci:
-                out[i] = self.add(out[i], self.scalar_mul(ci, x))
-        return out
+        raise NotImplementedError
 
     def fold(
         self, y: np.ndarray, a: np.ndarray, new: np.ndarray, old: np.ndarray
@@ -230,23 +200,6 @@ class Field:
         ``old`` their (k, n) values.  Pure: returns a new array.
         """
         return self.add(y, self.matmul(a, self.sub(new, old)))
-
-    def matmul_reference(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Schoolbook per-element matmul over ``s_add``/``s_mul``.
-
-        The obviously-correct scalar-loop ground truth that the vectorized
-        kernels are property-tested against.  O(m*k*n) Python-level ops --
-        never use it on a hot path.
-        """
-        a, b = self._check_matmul_args(a, b)
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=self.storage_dtype)
-        for i in range(a.shape[0]):
-            for j in range(b.shape[1]):
-                acc = 0
-                for t in range(a.shape[1]):
-                    acc = self.s_add(acc, self.s_mul(int(a[i, t]), int(b[t, j])))
-                out[i, j] = acc
-        return out
 
     def _check_matmul_args(
         self, a: np.ndarray, b: np.ndarray

@@ -22,7 +22,6 @@ __all__ = [
     "in_rowspan",
     "invert",
     "matmul",
-    "matmul_reference",
 ]
 
 
@@ -77,15 +76,6 @@ def matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError("dimension mismatch")
     return field.matmul(a, b)
-
-
-def matmul_reference(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Schoolbook scalar-loop matrix product (ground truth for tests)."""
-    a = np.asarray(a, dtype=field.dtype)
-    b = np.asarray(b, dtype=field.dtype)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError("dimension mismatch")
-    return field.matmul_reference(a, b)
 
 
 def solve_left(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:

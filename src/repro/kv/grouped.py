@@ -136,27 +136,6 @@ class GroupedCausalKVStore:
         except KeyError:
             raise KeyError(f"unknown key {key!r}")
 
-    def legacy_locate(self, key: str) -> tuple[int, int]:
-        """Deprecated: the original index-arithmetic placement.
-
-        Kept only as a compatibility shim for callers that relied on the
-        ``(index // group_size, index % group_size)`` rule; it matches
-        :meth:`locate` at epoch 0 and diverges after any view change.
-        """
-        import warnings
-
-        warnings.warn(
-            "legacy_locate() is deprecated; use locate(), which delegates "
-            "to the shard router",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        try:
-            idx = self.keys.index(key)
-        except ValueError:
-            raise KeyError(f"unknown key {key!r}")
-        return (idx // self.group_size, idx % self.group_size)
-
     def session(self, site: int = 0) -> GroupedSession:
         return GroupedSession(self, site)
 

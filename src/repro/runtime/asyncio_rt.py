@@ -130,24 +130,9 @@ __all__ = [
     "AsyncioServer",
     "AsyncioClient",
     "AsyncioCluster",
-    "install_uvloop",
 ]
 
 log = logging.getLogger(__name__)
-
-
-def install_uvloop() -> bool:
-    """Swap in uvloop's event-loop policy when the package is available.
-
-    Purely optional: the runtime works identically on the stock loop, just
-    slower.  Returns whether uvloop was installed.
-    """
-    try:
-        import uvloop  # type: ignore[import-not-found]
-    except ImportError:
-        return False
-    uvloop.install()
-    return True
 
 #: seconds between reconnect attempts for peer channels and clients
 RECONNECT_DELAY = 0.02
@@ -539,14 +524,12 @@ class _PeerChannel:
     the state and hands them to :meth:`release` once that checkpoint is
     durable (or back to :meth:`reclaim` when the disk refused it).
 
-    Batched flush (``server.batch``, the default): ``release`` moves the
-    detached frames to ``_ready`` and wakes the flusher task, which
-    concatenates everything ready into a **single** ``writer.write`` and
-    then applies ``drain()``-based backpressure.  Two lists, because the
-    flusher wakes one loop iteration after the release, and frames that
-    iteration's handlers append are not durable yet.  With
-    ``server.batch`` off, ``release`` writes each frame on its own
-    instead (the macro benchmark's comparison lane).
+    Batched flush: ``release`` moves the detached frames to ``_ready`` and
+    wakes the flusher task, which concatenates everything ready into a
+    **single** ``writer.write`` and then applies ``drain()``-based
+    backpressure.  Two lists, because the flusher wakes one loop iteration
+    after the release, and frames that iteration's handlers append are not
+    durable yet.
 
     While the transport sits over its high-water mark, *data* frames stop
     being enqueued entirely -- they are already held by ``unacked`` -- and
@@ -677,10 +660,6 @@ class _PeerChannel:
         """
         if writer is None or self.writer is not writer:
             return
-        if not self.server.batch:
-            for frame in frames:
-                self._write_frame(frame)
-            return
         self._ready += frames
         self._flush_wakeup.set()
 
@@ -689,19 +668,6 @@ class _PeerChannel:
         ahead of everything enqueued since (FIFO order is kept)."""
         if writer is not None and self.writer is writer:
             self._pending[:0] = frames
-
-    def _write_frame(self, frame) -> None:
-        if self.writer is not None:
-            try:
-                if isinstance(frame, bytes):  # pre-encoded (chaos-damaged)
-                    self.writer.write(frame)
-                else:
-                    self.writer.write(wire.encode_frame(frame))
-            except _CONN_ERRORS:  # pragma: no cover - racing disconnect
-                self.writer = None
-                return
-            self.server.frames_sent += 1
-            self.server.flushes += 1
 
     async def _flush_loop(self) -> None:
         """Coalesce released frames into one write per event-loop tick.
@@ -763,8 +729,7 @@ class _PeerChannel:
 
     def start(self) -> None:
         self.task = asyncio.ensure_future(self._run())
-        if self.server.batch:
-            self._flush_task = asyncio.ensure_future(self._flush_loop())
+        self._flush_task = asyncio.ensure_future(self._flush_loop())
         if self.server.chaos is not None:
             self._rexmit_task = asyncio.ensure_future(self._retransmit_loop())
 
@@ -954,7 +919,6 @@ class AsyncioServer:
         audit_addr: tuple[str, int] | None = None,
         repair: RepairConfig | None = None,
         scrub: ScrubConfig | None = None,
-        batch: bool = True,
     ):
         self.core = core
         self.node_id = core.node_id
@@ -963,10 +927,6 @@ class AsyncioServer:
         self.host = host
         self.port = port
         self.chaos = chaos
-        #: coalesce each commit's outbound frames into one write per
-        #: channel; ``False`` writes them one by one, kept as the
-        #: comparison lane for the macro benchmark
-        self.batch = batch
         #: wire frames put on a socket / single writer.write calls issued;
         #: ``frames_sent / flushes`` is the measured batching factor
         self.frames_sent = 0
@@ -2021,7 +1981,6 @@ class AsyncioCluster:
         audit_addr: tuple[str, int] | None = None,
         repair: RepairConfig | None = None,
         scrub: ScrubConfig | None = None,
-        batch: bool = True,
         auto_replace: bool = False,
     ):
         self.code = code
@@ -2034,7 +1993,6 @@ class AsyncioCluster:
         self.chaos = chaos
         self.repair = repair
         self.scrub_config = scrub
-        self.batch = batch
         self.host = host
         self.detector_config = detector
         self.audit_addr = audit_addr
@@ -2085,7 +2043,6 @@ class AsyncioCluster:
             audit_addr=self.audit_addr,
             repair=self.repair,
             scrub=self.scrub_config,
-            batch=self.batch,
         )
         server.on_detector_transition = self._on_detector_transition
         if self.on_server_created is not None:
@@ -2108,7 +2065,8 @@ class AsyncioCluster:
         """Aggregate wire-frame counters across servers and clients.
 
         ``frames_sent`` counts frames put on a socket, ``flushes`` counts
-        ``writer.write`` calls; with batching on, frames/flushes > 1.
+        ``writer.write`` calls; frames/flushes is the per-tick coalescing
+        factor.
         """
         frames = sum(s.frames_sent for s in self.servers)
         flushes = sum(s.flushes for s in self.servers)

@@ -59,10 +59,6 @@ class OnlineAuditor:
     def address(self) -> tuple[str, int]:
         return (self.host, self.port)
 
-    @property
-    def violations(self) -> list[AuditViolation]:
-        return list(self.checker.violations)
-
     async def start(self) -> None:
         self._listener = await asyncio.start_server(
             self._on_connection, self.host, self.port

@@ -144,10 +144,6 @@ class LiveFaultInjector:
             return 0.0
         return (self._loop.time() * 1000.0 - self._t0) / self.time_scale
 
-    def real_delay_ms(self, sim_ms: float) -> float:
-        """Map a schedule duration to real milliseconds."""
-        return sim_ms * self.time_scale
-
     # ------------------------------------------------------------------
 
     def _lane(self, src: int, dst: int) -> np.random.Generator:

@@ -1,9 +1,9 @@
 """Live sharded runtime: S asyncio CausalEC clusters behind a shard router.
 
 The asyncio counterpart of :class:`~repro.sharding.sim_store
-.ShardedSimStore`: each shard is an independent
-:class:`~repro.runtime.asyncio_rt.AsyncioCluster` coding group (its own
-servers, vector-clock dimension, and GC), and a
+.ShardedSimStore`, and the one runtime that changes views: each shard is
+an independent :class:`~repro.runtime.asyncio_rt.AsyncioCluster` coding
+group (its own servers, vector-clock dimension, and GC), and a
 :class:`~repro.sharding.router.ShardRouter` maps keys to (shard, slot)
 locations.  A :class:`ShardedSession` is ONE logical session across
 shards: its per-shard clients share a node id and an opid counter, so the
@@ -199,14 +199,6 @@ class ShardedAsyncioCluster:
         """End-of-run auditor verdict (empty list when auditing is off)."""
         return self.auditor.finalize() if self.auditor else []
 
-    def frame_stats(self) -> dict[str, int]:
-        """Aggregate wire-frame counters across every shard."""
-        totals = {"frames_sent": 0, "flushes": 0}
-        for cluster in self.shards.values():
-            for k, v in cluster.frame_stats().items():
-                totals[k] += v
-        return totals
-
     # ------------------------------------------------------------------
     # fault injection (per shard, or a whole "site" across shards)
 
@@ -220,10 +212,6 @@ class ShardedAsyncioCluster:
         """Crash server ``site`` in every shard (a data-center outage)."""
         for cluster in self.shards.values():
             await cluster.kill_server(site)
-
-    async def restart_site(self, site: int) -> None:
-        for cluster in self.shards.values():
-            await cluster.restart_server(site)
 
     # ------------------------------------------------------------------
     # per-shard dynamic membership
@@ -271,13 +259,6 @@ class ShardedAsyncioCluster:
         """Boot a new coding group and migrate its keys to it, live."""
         await self._boot_shard(shard)
         change = plan_view_change(self.router, add=(shard,))
-        stats = await self.apply_view_change(change)
-        return change, stats
-
-    async def remove_shard(self, shard: int) -> tuple[ViewChange, dict]:
-        """Drain a shard's keys to the survivors (the group keeps running
-        so stragglers still resolve, but owns no keys afterwards)."""
-        change = plan_view_change(self.router, remove=(shard,))
         stats = await self.apply_view_change(change)
         return change, stats
 

@@ -11,10 +11,10 @@ migration fences and post-migration causal floors.
 
 :mod:`repro.sharding.view` plans **view changes** (ring epochs): adding
 or removing a shard moves only the ~K/S keys whose ring owner changed;
-the runtime coordinators (:mod:`repro.sharding.sim_store` for the
-discrete-event simulator, :mod:`repro.runtime.sharded_rt` for the live
-asyncio cluster) migrate those keys over the existing channels with an
-epoch-fenced cutover.
+the live coordinator (:mod:`repro.runtime.sharded_rt`) migrates those
+keys over the existing channels with an epoch-fenced cutover.
+:mod:`repro.sharding.sim_store` runs a fixed ring on the discrete-event
+simulator.
 """
 
 from .ring import (

@@ -95,9 +95,6 @@ class HashRing:
     def __contains__(self, shard: int) -> bool:
         return shard in self._shards
 
-    def __len__(self) -> int:
-        return len(self._shards)
-
     def shard_vnodes(self, shard: int) -> int:
         """The number of virtual nodes ``shard`` currently contributes."""
         if shard not in self._shards:

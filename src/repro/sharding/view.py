@@ -9,10 +9,10 @@ sticky table guarantees zero churn for unmoved keys.
 
 Planning is **pure**: it copies the ring, never mutates the router, and
 produces a deterministic, seed-independent move list (keys visited in
-sorted order, destination slots assigned first-free-first).  The runtime
-coordinators (:mod:`repro.sharding.sim_store`,
-:mod:`repro.runtime.sharded_rt`) execute the plan move by move and call
-:meth:`~repro.sharding.router.ShardRouter.commit_view` at the end.
+sorted order, destination slots assigned first-free-first).  The live
+coordinator (:mod:`repro.runtime.sharded_rt`) executes the plan move by
+move and calls :meth:`~repro.sharding.router.ShardRouter.commit_view` at
+the end.
 """
 
 from __future__ import annotations

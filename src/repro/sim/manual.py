@@ -73,15 +73,6 @@ class ManualNetwork(LivenessRegistry):
                 self._handlers[dst](src, msg)
         return delivered
 
-    def deliver_one_of(self, index: int) -> bool:
-        """Deliver the head of the ``index``-th non-empty channel (mod)."""
-        chans = self.channels()
-        if not chans:
-            return False
-        src, dst = chans[index % len(chans)]
-        self.deliver(src, dst)
-        return True
-
     def deliver_all(
         self,
         rng: np.random.Generator | None = None,

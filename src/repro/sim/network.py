@@ -198,10 +198,6 @@ class PartitionPlan:
     def severs(self, now: float, src: int, dst: int) -> bool:
         return any(w.severs(now, src, dst) for w in self.windows)
 
-    def end_time(self) -> float:
-        """When the last window heals (0.0 for an empty plan)."""
-        return max((w.end for w in self.windows), default=0.0)
-
 
 class LinkFaults:
     """Unreliable-link model: drops, duplicates, and partitions.

@@ -44,10 +44,6 @@ class EventHandle:
     def cancelled(self) -> bool:
         return self._event.cancelled
 
-    @property
-    def time(self) -> float:
-        return self._event.time
-
 
 class Scheduler:
     """Event heap with a simulated clock (time unit: milliseconds)."""
@@ -71,10 +67,6 @@ class Scheduler:
         ev = _Event(time, next(self._seq), fn)
         heapq.heappush(self._heap, ev)
         return EventHandle(ev)
-
-    def pending(self) -> int:
-        """Number of not-yet-fired (possibly cancelled) events."""
-        return len(self._heap)
 
     def step(self) -> bool:
         """Fire the next event; returns False when the heap is empty."""

@@ -1,14 +1,8 @@
 """Workload generation: key distributions and load drivers."""
 
 from .driver import ClosedLoopDriver, WorkloadConfig
-from .live_open_loop import (
-    LiveOpenLoopConfig,
-    LiveOpenLoopDriver,
-    run_macro_sweep,
-)
 from .open_loop import OpenLoopConfig, OpenLoopDriver
-from .records import append_bench_record
-from .sharded_open_loop import ShardedOpenLoopDriver, run_sharded_sweep
+from .sharded_open_loop import LiveOpenLoopConfig, ShardedOpenLoopDriver
 from .ycsb import (
     YCSB_PRESETS,
     LatestGenerator,
@@ -33,12 +27,8 @@ __all__ = [
     "WorkloadConfig",
     "OpenLoopDriver",
     "OpenLoopConfig",
-    "LiveOpenLoopDriver",
     "LiveOpenLoopConfig",
-    "run_macro_sweep",
     "ShardedOpenLoopDriver",
-    "run_sharded_sweep",
-    "append_bench_record",
     "KeyGenerator",
     "UniformGenerator",
     "ZipfianGenerator",

@@ -1,27 +1,40 @@
 """Open-loop workload driver for the live *sharded* runtime.
 
-The sharded sibling of :class:`~repro.workloads.live_open_loop
-.LiveOpenLoopDriver`: the same Poisson arrival model per site (gaps drawn
-from a per-site stream seeded by ``(seed, site)``), but operations target
-string keys through pooled :class:`~repro.runtime.sharded_rt
-.ShardedSession` objects, so every arrival exercises the shard router --
-and, while a view change is in flight, the migration write fence.
-
-:func:`run_sharded_sweep` is the ``--shards`` lane of ``repro
-bench-macro``: same payload shape as :func:`~repro.workloads
-.live_open_loop.run_macro_sweep` (one result row per arrival rate) with a
-``shards`` field on the payload and each row.
+Realises the paper's Sec. 4.2 arrival-rate model (lambda requests/s per
+site) in wall-clock time against a
+:class:`~repro.runtime.sharded_rt.ShardedAsyncioCluster`, the way the
+simulator's :class:`~repro.workloads.open_loop.OpenLoopDriver` does in
+virtual time.  Each site runs a Poisson arrival task: gaps are drawn from a
+per-site stream seeded by ``(seed, site)`` (the simulator driver's
+convention, so arrival sequences are reproducible), each arrival checks out
+a pooled :class:`~repro.runtime.sharded_rt.ShardedSession` -- growing the
+pool on demand up to ``max_clients_per_site``, dropping the arrival if the
+pool is exhausted, exactly the open-loop semantics -- and the operation runs
+as its own task so a slow response never stalls the arrival process.  Every
+arrival targets a string key through the shard router and, while a view
+change is in flight, the migration write fence.  ``repro reshard`` drives
+it.
 """
 
 from __future__ import annotations
 
 import asyncio
+from dataclasses import dataclass
 
 import numpy as np
 
-from .live_open_loop import MACRO_BENCH_SCHEMA, LiveOpenLoopConfig
+__all__ = ["LiveOpenLoopConfig", "ShardedOpenLoopDriver"]
 
-__all__ = ["ShardedOpenLoopDriver", "run_sharded_sweep"]
+
+@dataclass
+class LiveOpenLoopConfig:
+    """``rate_per_site`` is in operations per *real* second."""
+
+    rate_per_site: float = 50.0
+    duration: float = 1.0  # seconds of arrivals
+    read_ratio: float = 0.5
+    seed: int = 0
+    max_clients_per_site: int = 32
 
 
 class ShardedOpenLoopDriver:
@@ -125,84 +138,3 @@ class ShardedOpenLoopDriver:
             "ops_per_s": completed / elapsed_s if elapsed_s > 0 else 0.0,
             **pct,
         }
-
-
-async def _run_sharded_lane(rate: float, *, keys, num_shards: int,
-                            duration: float, read_ratio: float, seed: int,
-                            value_len: int, gc_interval: float) -> dict:
-    from ..core.server import ServerConfig
-    from ..protocol.client_core import RetryPolicy
-    from ..runtime.sharded_rt import ShardedAsyncioCluster
-
-    store = ShardedAsyncioCluster(
-        keys,
-        num_shards=num_shards,
-        slots_per_shard=len(keys),  # capacity for any ring imbalance
-        value_len=value_len,
-        config=ServerConfig(gc_interval=gc_interval),
-        retry=RetryPolicy(timeout=250.0, max_retries=6),
-    )
-    await store.start()
-    try:
-        driver = ShardedOpenLoopDriver(
-            store,
-            keys,
-            LiveOpenLoopConfig(
-                rate_per_site=rate / store.num_servers,
-                duration=duration,
-                read_ratio=read_ratio,
-                seed=seed,
-            ),
-        )
-        result = await driver.run()
-        await store.quiesce()
-        stats = store.frame_stats()
-    finally:
-        await store.shutdown()
-    done = max(result["completed"], 1)
-    return {
-        "rate": rate,
-        "shards": num_shards,
-        "batch": True,
-        **result,
-        **stats,
-        "frames_per_op": stats["frames_sent"] / done,
-        "flushes_per_op": stats["flushes"] / done,
-    }
-
-
-def run_sharded_sweep(
-    num_shards: int = 2,
-    num_keys: int = 8,
-    rates: tuple[float, ...] = (100.0, 200.0),
-    duration: float = 1.5,
-    read_ratio: float = 0.5,
-    seed: int = 0,
-    value_len: int = 16,
-    gc_interval: float = 50.0,
-) -> dict:
-    """Drive a fresh sharded store at each rate; return the macro payload."""
-    import time
-
-    keys = [f"key{i:03d}" for i in range(num_keys)]
-    results = [
-        asyncio.run(_run_sharded_lane(
-            rate, keys=keys, num_shards=num_shards,
-            duration=duration, read_ratio=read_ratio, seed=seed,
-            value_len=value_len, gc_interval=gc_interval,
-        ))
-        for rate in rates
-    ]
-    return {
-        "schema": MACRO_BENCH_SCHEMA,
-        "unix_time": time.time(),
-        "code": f"rs-sharded-x{num_shards}",
-        "value_len": value_len,
-        "servers": 5 * num_shards,
-        "shards": num_shards,
-        "keys": num_keys,
-        "duration_s": duration,
-        "read_ratio": read_ratio,
-        "seed": seed,
-        "results": results,
-    }

@@ -104,3 +104,13 @@ def test_cli_bench(capsys):
 def test_cli_requires_command():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_cli_reshard(capsys):
+    # the one user of ShardedOpenLoopDriver: a shard joins mid-traffic
+    assert main(["reshard", "--shards", "1", "--keys", "6",
+                 "--duration", "0.6"]) == 0
+    out = capsys.readouterr().out
+    assert "adding shard 1 mid-traffic" in out
+    assert "view v1:" in out
+    assert "0 violation(s)" in out

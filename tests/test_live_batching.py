@@ -79,7 +79,6 @@ class _FakeWriter:
 
 
 class _StubServer:
-    batch = True
     chaos = None
     node_id = 0
     peers: dict = {}
@@ -129,17 +128,25 @@ def _commit(ch: _PeerChannel) -> None:
 
 
 def _channel(stub: _StubServer) -> tuple[_PeerChannel, _FakeWriter]:
+    """A connected channel with its flusher running (call inside a loop)."""
     ch = _PeerChannel(stub, 1)
     fake = _FakeWriter()
     ch.writer = fake
+    ch._flush_task = asyncio.ensure_future(ch._flush_loop())
     return ch, fake
+
+
+async def _flushed(ch: _PeerChannel) -> None:
+    """Yield to the flusher until it has written every released frame."""
+    await asyncio.sleep(0)
+    while ch._ready:
+        await asyncio.sleep(0)
 
 
 def test_batched_sends_coalesce_into_single_write():
     async def run():
         stub = _StubServer()
         ch, fake = _channel(stub)
-        ch._flush_task = asyncio.ensure_future(ch._flush_loop())
         msgs = [("payload", k) for k in range(5)]
         for m in msgs:
             ch.send(m)
@@ -165,17 +172,19 @@ def test_batched_sends_coalesce_into_single_write():
 def test_frames_enqueued_after_the_snapshot_wait_for_the_next_commit():
     async def run():
         stub = _StubServer()
-        stub.batch = False  # direct writes make the frame count visible
         ch, fake = _channel(stub)
         ch.send(("payload", 0))
         ch.send(("payload", 1))
         held = ch.detach()  # the commit snapshots: seq 1-2 are in the file
         ch.send(("payload", 2))  # handled with the write in flight
+        await _flushed(ch)
         assert fake.writes == []
         ch.release(*held)
+        await _flushed(ch)
         assert [f[1] for f in _frames(fake.writes)] == [1, 2]
         assert [f[1] for f in ch._pending] == [3]  # still held
         _commit(ch)
+        await _flushed(ch)
         assert [f[1] for f in _frames(fake.writes)] == [1, 2, 3]
         assert ch.detach() is None  # nothing held: nothing to commit
         await ch.stop()
@@ -186,7 +195,6 @@ def test_frames_enqueued_after_the_snapshot_wait_for_the_next_commit():
 def test_a_batch_detached_for_a_dead_connection_is_dropped_not_resent():
     async def run():
         stub = _StubServer()
-        stub.batch = False
         ch, old = _channel(stub)
         ch.send(("payload", 0))
         held = ch.detach()
@@ -198,8 +206,10 @@ def test_a_batch_detached_for_a_dead_connection_is_dropped_not_resent():
         for seq, msg in list(ch.unacked):
             ch._transmit(seq, msg)
         ch.release(*held)  # bound for ``old``: must not go out on ``new``
+        await _flushed(ch)
         assert old.writes == [] and new.writes == []
         _commit(ch)
+        await _flushed(ch)
         assert [f[1] for f in _frames(new.writes)] == [1]  # once, not twice
         # a failed write puts a live connection's batch back in front ...
         ch.send(("payload", 1))
@@ -223,7 +233,6 @@ def test_backpressure_pauses_enqueue_and_replays_without_loss():
         ch, fake = _channel(stub)
         fake.drain_gate = asyncio.Event()  # unset: drain() parks
         fake.transport.buffer_size = 1 << 20  # over the high-water mark
-        ch._flush_task = asyncio.ensure_future(ch._flush_loop())
         for k in range(3):
             ch.send(("payload", k))
         _commit(ch)
@@ -263,7 +272,6 @@ def test_backpressure_under_chaos_drops_no_loss_no_reorder():
         )
         stub.chaos.arm(asyncio.get_running_loop())
         ch, fake = _channel(stub)
-        ch._flush_task = asyncio.ensure_future(ch._flush_loop())
         total = 20
         for k in range(total):
             ch.send(("payload", k))
@@ -298,22 +306,24 @@ def test_backpressure_under_chaos_drops_no_loss_no_reorder():
 def test_retransmit_pass_is_age_gated():
     async def run():
         stub = _StubServer()
-        stub.batch = False  # direct writes make the frame count visible
         ch, fake = _channel(stub)
         loop = asyncio.get_running_loop()
         ch.send(("payload", 1))
         ch.send(("payload", 2))
         _commit(ch)
-        sent_before = len(fake.writes)
-        assert sent_before == 2  # unbatched: one write per released frame
+        await _flushed(ch)
+        sent_before = len(_frames(fake.writes))
+        assert sent_before == 2  # one frame per released message
         # both frames were transmitted microseconds ago: a pass now must
         # re-send nothing (the old loop re-sent the entire tail)
         assert ch._retransmit_pass(loop.time()) == 0
-        assert len(fake.writes) == sent_before
+        await _flushed(ch)
+        assert len(_frames(fake.writes)) == sent_before
         # once their age exceeds the interval they do go out again
         assert ch._retransmit_pass(loop.time() + RETRANSMIT_INTERVAL) == 2
         _commit(ch)
-        assert len(fake.writes) == sent_before + 2
+        await _flushed(ch)
+        assert len(_frames(fake.writes)) == sent_before + 2
         # acked frames leave the tail and the age map
         ch._on_ack(2)
         assert ch._retransmit_pass(loop.time() + 1.0) == 0

@@ -11,7 +11,7 @@ every field family and storage width, every vector op and batched kernel of
 dtype that can hold the field -- and a read-only *unaligned* view, which is
 what the wire decoder hands out -- at the values where wraparound bites
 (0, 1, order - 2, order - 1), and must equal the scalar ``s_*`` /
-``*_reference`` oracles and come back in ``storage_dtype``.
+``tests/ec_reference.py`` oracles and come back in ``storage_dtype``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,13 @@ import pytest
 
 from repro.ec.code import LinearCode
 from repro.ec.field import GF256, BinaryExtensionField, PrimeField
+
+from tests.ec_reference import (
+    decode_reference,
+    encode_reference,
+    field_matmul_reference,
+    reencode_reference,
+)
 
 FIELDS = [
     PrimeField(257),          # storage uint16, one past uint8
@@ -99,8 +106,10 @@ def test_batched_kernels_widen_every_input_dtype(field):
     b = _boundary(field)
     a_rows = [b, list(reversed(b)), [b[3]] * 4]
     b_rows = [[b[i], b[3 - i], b[3]] for i in range(4)]
-    want = field.matmul_reference(
-        np.array(a_rows, dtype=field.dtype), np.array(b_rows, dtype=field.dtype)
+    want = field_matmul_reference(
+        field,
+        np.array(a_rows, dtype=field.dtype),
+        np.array(b_rows, dtype=field.dtype),
     )
     assert want.dtype == field.storage_dtype
     for a, m in itertools.product(_forms(field, a_rows), _forms(field, b_rows)):
@@ -186,12 +195,12 @@ def test_linear_code_kernels_take_any_dtype_and_return_storage(field):
         values = [x0, x1]
         symbols = code.encode_all(values)
         for s in range(code.N):
-            want = code._encode_reference(s, old).tolist()
+            want = encode_reference(code, s, old).tolist()
             _stored(field, code.encode(s, values), want)
             _stored(field, symbols[s], want)
     symbols = code.encode_all(old)
     for s, k in itertools.product(range(code.N), range(code.K)):
-        want = code._reencode_reference(s, symbols[s], k, old[k], new[k]).tolist()
+        want = reencode_reference(code, s, symbols[s], k, old[k], new[k]).tolist()
         for sym, o, n in itertools.product(
             _forms(field, symbols[s].tolist()),
             _forms(field, old[k]),
@@ -210,7 +219,7 @@ def test_linear_code_kernels_take_any_dtype_and_return_storage(field):
     ]
     for s in range(code.N):
         _stored(field, code.reencode_many(s, symbols[s], both),
-                code._encode_reference(s, new).tolist())
+                encode_reference(code, s, new).tolist())
     for servers in ((0, 1), (2, 3), (3,), (0, 2)):
         for forms in itertools.product(
             *(_forms(field, symbols[s].tolist()) for s in servers)
@@ -218,8 +227,8 @@ def test_linear_code_kernels_take_any_dtype_and_return_storage(field):
             given = dict(zip(servers, forms))
             for k in range(code.K):
                 _stored(field, code.decode(k, given),
-                        code._decode_reference(k, given).tolist())
-                assert code._decode_reference(k, given).tolist() == old[k]
+                        decode_reference(code, k, given).tolist())
+                assert decode_reference(code, k, given).tolist() == old[k]
             many = code.decode_many(range(code.K), given)
             for k in range(code.K):
                 _stored(field, many[k], old[k])
