@@ -9,15 +9,17 @@ sockets, monotonic-clock timers, and file-backed durable checkpoints.
 
 Topology
 --------
-Each :class:`AsyncioServer` owns one TCP listener.  Three connection kinds
-arrive on it, distinguished by a hello frame:
+Each :class:`AsyncioServer` owns one TCP listener.  Every connection it
+accepts or dials is an :class:`asyncio.Protocol` handing each frame to a
+synchronous handler -- no task per connection.  Two kinds arrive on the
+listener, told apart by a hello frame (a malformed one closes it):
 
 * ``("hp", i, acked, cfg_epoch, seq)`` -- the *peer data channel* from
   server ``i``: server ``i`` dials every other server and owns the directed
   channel ``i -> j``.  Data frames ``("d", seq, msg)`` flow dialer ->
   listener; cumulative acks ``("a", seq)`` flow back on the same socket.
   ``acked`` and ``seq`` bracket the dialer's unacked tail: a listener
-  whose watermark is outside them resynchronises (see ``_peer_loop``).
+  whose watermark is outside them resynchronises (see ``_peer_hello``).
   ``cfg_epoch`` is the dialer's membership epoch: a listener that has
   moved to a newer configuration *fences* the connection (rejecting every
   frame it would have carried) after answering with its commit chain
@@ -145,12 +147,17 @@ RETRANSMIT_INTERVAL = 0.05
 #: seconds between polls of the audit log by the streaming task
 AUDIT_POLL = 0.02
 
-_CONN_ERRORS = (
-    ConnectionError,
-    asyncio.IncompleteReadError,
-    OSError,
-    wire.WireError,
-)
+#: what a stream connection can die of (``ConnectionError`` is an OSError)
+_CONN_ERRORS = (OSError, asyncio.IncompleteReadError, wire.WireError)
+
+#: failure-detector effects -> the ``detector_log`` kind they record
+_PEER_TRANSITIONS = {
+    PeerSuspectedEffect: "suspect",
+    PeerAliveEffect: "alive",
+    PeerConfirmedDeadEffect: "dead",
+}
+
+_U32 = struct.Struct(">I")
 
 
 async def read_frame(reader: asyncio.StreamReader):
@@ -161,14 +168,79 @@ async def read_frame(reader: asyncio.StreamReader):
     caller can simply skip the frame (it behaves like a drop: ARQ
     retransmission supplies a clean copy).
     """
-    (length,) = struct.unpack(">I", await reader.readexactly(4))
+    (length,) = _U32.unpack(await reader.readexactly(4))
     if length > wire.MAX_FRAME_BYTES:
         raise wire.WireError(f"frame length {length} exceeds MAX_FRAME_BYTES")
     return wire.decode_body(await reader.readexactly(length))
 
 
+def _kind(frame) -> str | None:
+    """A frame's kind, or ``None`` for anything but a tuple led by a str."""
+    if type(frame) is tuple and frame and type(frame[0]) is str:
+        return frame[0]
+    return None
+
+
+class _Framed(asyncio.Protocol):
+    """One connection of a server: bytes in, every whole frame out to the
+    subclass's ``frame_received``, in order, before ``data_received``
+    returns.  A frame failing its CRC is skipped and counted (a drop: the
+    ARQ retransmits); an oversize length prefix or an undecodable frame
+    closes the connection."""
+
+    def __init__(self, server: "AsyncioServer"):
+        self.server = server
+        self.transport: asyncio.Transport | None = None
+        self._buf = bytearray()
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        buf = self._buf
+        buf += data
+        pos, size = 0, len(buf)
+        with memoryview(buf) as view:
+            while size - pos >= 4 and not self.transport.is_closing():
+                (length,) = _U32.unpack_from(view, pos)
+                if length > wire.MAX_FRAME_BYTES:
+                    self.transport.close()
+                    return
+                end = pos + 4 + length
+                if end > size:
+                    break
+                # a copy: decoded ndarrays are views over the body
+                body = bytes(view[pos + 4 : end])
+                pos = end
+                try:
+                    frame = wire.decode_body(body)
+                except wire.FrameCorrupt:
+                    self.server.frames_corrupt += 1
+                    continue
+                except wire.WireError:
+                    self.transport.close()
+                    return
+                self.frame_received(frame)
+        del buf[:pos]
+
+
 def _now_ms(loop: asyncio.AbstractEventLoop) -> float:
     return loop.time() * 1000.0
+
+
+async def _reap(task: asyncio.Task | None, failed: str, *args) -> None:
+    """Cancel ``task`` and wait for it to end.  Cancellation is expected;
+    anything else (a wire-codec bug, a programming error in a loop) is
+    logged as ``failed % args``, not swallowed."""
+    if task is None:
+        return
+    task.cancel()
+    try:
+        await task
+    except asyncio.CancelledError:
+        pass
+    except Exception:
+        log.exception(failed, *args)
 
 
 #: checkpoint file magic; the trailing digits are the container version.
@@ -177,7 +249,6 @@ def _now_ms(loop: asyncio.AbstractEventLoop) -> float:
 #: parse; files of either magic load.
 _CKPT_MAGIC = b"CECKPT02"
 _CKPT_MAGICS = (_CKPT_MAGIC, b"CECKPT01")
-_CKPT_U32 = struct.Struct(">I")
 _CKPT_DIGEST_LEN = 16
 
 
@@ -285,10 +356,10 @@ class FileDurableStore:
 
     @staticmethod
     def _assemble(sections, digests) -> bytes:
-        head = _CKPT_MAGIC + _CKPT_U32.pack(len(sections))
+        head = _CKPT_MAGIC + _U32.pack(len(sections))
         parts = [head]
         for payload, digest in zip(sections, digests):
-            parts += [_CKPT_U32.pack(len(payload)), digest, payload]
+            parts += [_U32.pack(len(payload)), digest, payload]
         parts.append(_ckpt_digest(head + b"".join(digests)))
         return b"".join(parts)
 
@@ -305,7 +376,7 @@ class FileDurableStore:
         if view[: len(_CKPT_MAGIC)] not in _CKPT_MAGICS:
             raise ValueError("bad checkpoint magic")
         pos = len(_CKPT_MAGIC)
-        (nsections,) = _CKPT_U32.unpack(view[pos : pos + 4])
+        (nsections,) = _U32.unpack(view[pos : pos + 4])
         pos += 4
         if nsections != 3:
             raise ValueError(f"unexpected section count {nsections}")
@@ -313,7 +384,7 @@ class FileDurableStore:
         for i in range(nsections):
             if pos + 4 + _CKPT_DIGEST_LEN > len(view):
                 raise ValueError(f"truncated section {i} header")
-            (length,) = _CKPT_U32.unpack(view[pos : pos + 4])
+            (length,) = _U32.unpack(view[pos : pos + 4])
             pos += 4
             digest = bytes(view[pos : pos + _CKPT_DIGEST_LEN])
             pos += _CKPT_DIGEST_LEN
@@ -523,20 +594,18 @@ class _PeerChannel:
     the commit takes them with :meth:`detach` in the step that snapshots
     the state and hands them to :meth:`release` once that checkpoint is
     durable (or back to :meth:`reclaim` when the disk refused it).
+    ``release`` writes the whole batch with a **single**
+    ``transport.write``.
 
-    Batched flush: ``release`` moves the detached frames to ``_ready`` and
-    wakes the flusher task, which concatenates everything ready into a
-    **single** ``writer.write`` and then applies ``drain()``-based
-    backpressure.  Two lists, because the flusher wakes one loop iteration
-    after the release, and frames that iteration's handlers append are not
-    durable yet.
-
-    While the transport sits over its high-water mark, *data* frames stop
-    being enqueued entirely -- they are already held by ``unacked`` -- and
-    the flusher replays the skipped tail after the drain completes (the
-    receiver's watermark absorbs any overlap).  Gossip frames are
-    best-effort and are simply shed under pressure.  FIFO order is
-    preserved: both lists keep append order and only the flusher writes.
+    The channel owns the transport of its current connection; acks and
+    fence responses come back through that connection's :class:`_Dialed`
+    protocol.  Once the transport reports it is over its high-water mark
+    (``pause_writing``), *data* frames stop being enqueued entirely --
+    they are already held by ``unacked`` -- and ``resume_writing`` replays
+    the skipped tail (the receiver's watermark absorbs any overlap).
+    Gossip frames are best-effort and are simply shed under pressure.
+    FIFO order is preserved: ``_pending`` keeps append order and only
+    ``release`` writes.
     """
 
     def __init__(self, server: "AsyncioServer", peer_id: int):
@@ -545,22 +614,20 @@ class _PeerChannel:
         self.seq = 0
         #: highest cumulative ack received; frames <= acked are pruned and
         #: can never be replayed, so the hello advertises it as the
-        #: receiver's minimum watermark (see ``_peer_loop``)
+        #: receiver's minimum watermark (see ``_peer_hello``)
         self.acked = 0
         self.unacked: deque[tuple[int, object]] = deque()
-        self.writer: asyncio.StreamWriter | None = None
+        #: the current connection; ``None`` while (re)dialling
+        self.transport: asyncio.Transport | None = None
+        #: the dial loop: connect, then wait for the connection to close
         self.task: asyncio.Task | None = None
         self._rexmit_task: asyncio.Task | None = None
-        self._flush_task: asyncio.Task | None = None
         self._stopped = False
         #: frames held behind the commit barrier (not yet durable)
         self._pending: list[tuple] = []
-        #: frames released by a commit, awaiting the coalesced flush
-        self._ready: list[tuple] = []
-        self._flush_wakeup = asyncio.Event()
-        #: transport over its high-water mark; a drain() is in flight
+        #: the transport is over its high-water mark
         self._paused = False
-        #: lowest data seq skipped while paused, replayed after the drain
+        #: lowest data seq skipped while paused, replayed on resume
         self._stall_from: int | None = None
         #: seq -> loop time of the latest transmission attempt; the
         #: retransmit loop only re-sends frames older than the interval
@@ -620,14 +687,14 @@ class _PeerChannel:
             )
 
     def _enqueue(self, frame) -> None:
-        if self.writer is None:
+        if self.transport is None:
             # disconnected: data frames stay in unacked and are replayed
             # on reconnect; gossip is best-effort and simply lost
             return
         if self._paused:
             # backpressure: the transport is over its high-water mark.
             # Data frames are safe in unacked -- remember the lowest seq
-            # we skipped so the flusher can replay the tail after drain
+            # we skipped so ``resume_writing`` can replay the tail
             if frame[0] == "d" and (
                 self._stall_from is None or frame[1] < self._stall_from
             ):
@@ -639,7 +706,7 @@ class _PeerChannel:
     def detach(self) -> tuple | None:
         """Hand the held frames to the commit taking its snapshot now.
 
-        Returns ``(writer, frames)`` -- the connection the frames were
+        Returns ``(transport, frames)`` -- the connection the frames were
         queued for, and the frames -- or ``None`` when nothing is held.
         Frames enqueued from here on start a new list: they show state
         the snapshot does not hold and wait for the next commit.
@@ -648,143 +715,69 @@ class _PeerChannel:
         if not frames:
             return None
         self._pending = []
-        return self.writer, frames
+        return self.transport, frames
 
-    def release(self, writer, frames: list) -> None:
-        """The commit that detached ``frames`` is durable: send them.
+    def release(self, transport, frames: list) -> None:
+        """The commit that detached ``frames`` is durable: send them, in
+        one write.
 
         A channel that has redialled since the frames were detached has
         replayed its whole unacked tail on the new connection and shed the
-        rest, exactly as ``_run`` does with ``_pending`` -- sending the
-        batch as well would put every data frame on the wire twice.
+        rest, exactly as ``_connected`` does with ``_pending`` -- sending
+        the batch as well would put every data frame on the wire twice.
         """
-        if writer is None or self.writer is not writer:
+        if transport is None or self.transport is not transport:
             return
-        self._ready += frames
-        self._flush_wakeup.set()
+        transport.write(wire.encode_frames(frames))
+        self.server.frames_sent += len(frames)
+        self.server.flushes += 1
 
-    def reclaim(self, writer, frames: list) -> None:
+    def reclaim(self, transport, frames: list) -> None:
         """The commit that detached ``frames`` failed: hold them again,
         ahead of everything enqueued since (FIFO order is kept)."""
-        if writer is not None and self.writer is writer:
+        if transport is not None and self.transport is transport:
             self._pending[:0] = frames
-
-    async def _flush_loop(self) -> None:
-        """Coalesce released frames into one write per event-loop tick.
-
-        ``_flush_wakeup`` is set by ``release``; since this task only runs
-        between ticks, every frame one commit released (e.g. all App/Del
-        broadcasts triggered by a batch of client requests) lands in a
-        single ``writer.write`` of concatenated frames -- one syscall, one
-        TCP segment train, instead of one per frame.
-        """
-        while not self._stopped:
-            await self._flush_wakeup.wait()
-            self._flush_wakeup.clear()
-            writer, frames = self.writer, self._ready
-            if not frames:
-                continue
-            self._ready = []
-            if writer is None:
-                continue  # data frames replay on reconnect; gossip is lost
-            try:
-                writer.write(wire.encode_frames(frames))
-            except _CONN_ERRORS:  # pragma: no cover - racing disconnect
-                self.writer = None
-                continue
-            self.server.frames_sent += len(frames)
-            self.server.flushes += 1
-            await self._maybe_drain(writer)
-
-    async def _maybe_drain(self, writer: asyncio.StreamWriter) -> None:
-        """Apply backpressure when the transport is over its high water.
-
-        Pausing flips ``_paused`` so ``_enqueue`` stops feeding the socket
-        (a slow peer must not grow our buffers without bound -- neither the
-        transport's nor ``_pending``); once the peer drains us below the
-        low-water mark, the unacked tail from the first skipped seq is
-        re-transmitted.  Correctness is untouched: skipped frames live in
-        ``unacked`` until acked, and the receiver's watermark deduplicates
-        any overlap between pre-pause writes and the replay.
-        """
-        transport = writer.transport
-        if transport is None or transport.is_closing():
-            return
-        _low, high = transport.get_write_buffer_limits()
-        if transport.get_write_buffer_size() <= high:
-            return
-        self._paused = True
-        try:
-            await writer.drain()
-        except _CONN_ERRORS:  # pragma: no cover - peer vanished mid-drain
-            self.writer = None
-            return
-        finally:
-            self._paused = False
-        if self._stall_from is not None and self.writer is writer:
-            stalled, self._stall_from = self._stall_from, None
-            for seq, msg in list(self.unacked):
-                if seq >= stalled:
-                    self._transmit(seq, msg)
 
     def start(self) -> None:
         self.task = asyncio.ensure_future(self._run())
-        self._flush_task = asyncio.ensure_future(self._flush_loop())
         if self.server.chaos is not None:
             self._rexmit_task = asyncio.ensure_future(self._retransmit_loop())
 
     async def _run(self) -> None:
+        loop = asyncio.get_running_loop()
         while not self._stopped:
-            writer = None
             try:
                 host, port = self.server.peers[self.peer_id]
-                reader, writer = await asyncio.open_connection(host, port)
-                writer.write(
-                    wire.encode_frame(
-                        (
-                            "hp",
-                            self.server.node_id,
-                            self.acked,
-                            self.server.core.cfg_epoch,
-                            self.seq,
-                        )
-                    )
+                transport, conn = await loop.create_connection(
+                    partial(_Dialed, self), host, port
                 )
-                self.server.frames_sent += 1
-                self.server.flushes += 1
-                # frames queued for the dead connection are stale; the
-                # replay below re-sends everything that still matters
-                self._pending.clear()
-                self._ready.clear()
-                self._stall_from = None
-                self.writer = writer
-                for seq, msg in list(self.unacked):  # replay the unacked tail
-                    self._transmit(seq, msg)
-                await writer.drain()
-                while True:
-                    try:
-                        payload = await read_frame(reader)
-                    except wire.FrameCorrupt:
-                        # a rotted ack: skip it, the next cumulative ack
-                        # carries the same information
-                        self.server.frames_corrupt += 1
-                        continue
-                    if payload[0] == "a":
-                        self._on_ack(payload[1])
-                    elif payload[0] == "rc":
-                        # fenced: the listener is in a newer membership
-                        # epoch and sent its commit chain so we can catch
-                        # up; install it and let the redial handshake with
-                        # the new epoch
-                        self.server.install_commits(payload[1])
             except _CONN_ERRORS:
                 pass
-            finally:
-                self.writer = None
-                if writer is not None:
-                    writer.close()
+            else:
+                try:
+                    self._connected(transport)
+                    await conn.closed
+                finally:
+                    # also covers a connection lost before ``_connected``
+                    if self.transport is transport:
+                        self.transport = None
+                    transport.close()
             if not self._stopped:
                 await asyncio.sleep(RECONNECT_DELAY)
+
+    def _connected(self, transport) -> None:
+        """Say hello on a fresh connection and replay the unacked tail."""
+        s = self.server
+        hello = ("hp", s.node_id, self.acked, s.core.cfg_epoch, self.seq)
+        s._write_frame(transport, hello)
+        # frames queued for the dead connection are stale; the replay
+        # below re-sends everything that still matters
+        self._pending.clear()
+        self._stall_from = None
+        self._paused = False
+        self.transport = transport
+        for seq, msg in list(self.unacked):
+            self._transmit(seq, msg)
 
     async def _retransmit_loop(self) -> None:
         """Re-send *stale* unacked frames while chaos may be eating frames.
@@ -796,7 +789,7 @@ class _PeerChannel:
         """
         while not self._stopped:
             await asyncio.sleep(RETRANSMIT_INTERVAL)
-            if self.writer is not None:
+            if self.transport is not None:
                 self._retransmit_pass(asyncio.get_running_loop().time())
 
     def _retransmit_pass(self, now: float) -> int:
@@ -825,36 +818,101 @@ class _PeerChannel:
 
     def reset(self) -> None:
         """Abruptly drop the established connection (it redials + replays)."""
-        writer = self.writer
-        self.writer = None
-        if writer is not None:
-            writer.close()
+        transport = self.transport
+        self.transport = None
+        if transport is not None:
+            transport.close()
 
     async def stop(self) -> None:
         self._stopped = True
-        self._flush_wakeup.set()  # unblock the flusher so cancel lands fast
-        for task in (self.task, self._rexmit_task, self._flush_task):
-            if task is None:
-                continue
-            task.cancel()
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-            except Exception:
-                # cancellation is expected; anything else (a wire-codec
-                # bug, a programming error in the loops) must surface
-                log.exception(
-                    "peer channel %d->%d task failed during stop",
-                    self.server.node_id,
-                    self.peer_id,
-                )
+        for task in (self.task, self._rexmit_task):
+            await _reap(
+                task,
+                "peer channel %d->%d task failed during stop",
+                self.server.node_id,
+                self.peer_id,
+            )
         self.task = None
         self._rexmit_task = None
-        self._flush_task = None
-        if self.writer is not None:
-            self.writer.close()
-            self.writer = None
+        self.reset()
+
+
+class _Dialed(_Framed):
+    """The connection a :class:`_PeerChannel` dialled: acks and fence
+    responses in, flow control from the transport."""
+
+    def __init__(self, channel: _PeerChannel):
+        super().__init__(channel.server)
+        self.channel = channel
+        #: resolved by ``connection_lost``; the dial loop waits on it
+        self.closed = asyncio.get_running_loop().create_future()
+
+    def frame_received(self, frame) -> None:
+        kind = _kind(frame)
+        if kind == "a" and len(frame) == 2 and type(frame[1]) is int:
+            self.channel._on_ack(frame[1])
+        elif kind == "rc" and len(frame) == 2 and type(frame[1]) is list:
+            # fenced: the listener is in a newer membership epoch and sent
+            # its commit chain so we can catch up; install it and let the
+            # redial handshake with the new epoch
+            self.server.install_commits(frame[1])
+        else:
+            self.transport.close()
+
+    def pause_writing(self) -> None:
+        if self.channel.transport is self.transport:
+            self.channel._paused = True
+
+    def resume_writing(self) -> None:
+        """Replay the tail skipped while paused (it never left ``unacked``),
+        behind the barrier like any first send."""
+        ch = self.channel
+        if ch.transport is not self.transport:
+            return
+        ch._paused = False
+        if ch._stall_from is not None:
+            stalled, ch._stall_from = ch._stall_from, None
+            for seq, msg in list(ch.unacked):
+                if seq >= stalled:
+                    ch._transmit(seq, msg)
+
+    def connection_lost(self, exc) -> None:
+        if self.channel.transport is self.transport:
+            self.channel.transport = None
+        if not self.closed.done():
+            self.closed.set_result(None)
+
+
+class _Inbound(_Framed):
+    """A connection a peer or a client dialled to a server's listener.
+
+    The hello goes to :meth:`AsyncioServer._on_hello`, which picks the
+    handler for the rest; a handler returning ``False`` (a frame of the
+    wrong shape) closes the connection, as does any frame after a crash.
+    """
+
+    def __init__(self, server: "AsyncioServer"):
+        super().__init__(server)
+        #: the incarnation that accepted the connection
+        self.epoch = server._epoch
+        #: the dialling peer's or client's id, once the hello is in
+        self.src: int | None = None
+        self.handle = server._on_hello
+
+    def connection_made(self, transport) -> None:
+        super().connection_made(transport)
+        self.server._inbound.add(self)
+
+    def frame_received(self, frame) -> None:
+        s = self.server
+        if s._epoch != self.epoch or s.halted or not self.handle(self, frame):
+            self.transport.close()
+
+    def connection_lost(self, exc) -> None:
+        s = self.server
+        s._inbound.discard(self)
+        if self.src is not None and s._clients.get(self.src) is self.transport:
+            del s._clients[self.src]
 
 
 class _ChannelStateView:
@@ -927,7 +985,7 @@ class AsyncioServer:
         self.host = host
         self.port = port
         self.chaos = chaos
-        #: wire frames put on a socket / single writer.write calls issued;
+        #: wire frames put on a socket / single transport.write calls issued;
         #: ``frames_sent / flushes`` is the measured batching factor
         self.frames_sent = 0
         self.flushes = 0
@@ -948,8 +1006,10 @@ class AsyncioServer:
         self._channels: dict[int, _PeerChannel] = {}
         self._recv_last: dict[int, int] = {}
         self._ooo: dict[int, dict[int, object]] = {}
-        self._clients: dict[int, asyncio.StreamWriter] = {}
-        self._inbound: set[asyncio.StreamWriter] = set()
+        #: client id -> the transport of its connection
+        self._clients: dict[int, asyncio.Transport] = {}
+        #: every connection accepted and not yet lost
+        self._inbound: set[_Inbound] = set()
         self._timers: dict[tuple, asyncio.TimerHandle] = {}
         self._arq_view = _ChannelStateView(self)
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -965,7 +1025,7 @@ class AsyncioServer:
         #: client replies held until the commit: ``(client id, msg)``
         self._held_replies: list[tuple[int, object]] = []
         #: cumulative ack owed to each peer: ``src -> its connection``
-        self._held_acks: dict[int, asyncio.StreamWriter] = {}
+        self._held_acks: dict[int, asyncio.Transport] = {}
         self.detector: FailureDetectorCore | None = None
         if detector is not None:
             others = [j for j in range(self.num_servers) if j != self.node_id]
@@ -1038,7 +1098,7 @@ class AsyncioServer:
     def _boot_overlays(self) -> None:
         """Start the operational overlays: detector, repair, audit stream."""
         if self.detector is not None:
-            self.interpret_detector(self.detector.boot(self.now()))
+            self.interpret(self.detector.boot(self.now()))
         if self.repair is not None:
             # round state is volatile: each incarnation reboots the overlay
             self.interpret(self.repair.boot(self.now()))
@@ -1048,8 +1108,8 @@ class AsyncioServer:
             self._audit_task = asyncio.ensure_future(self._audit_loop())
 
     async def _start_listener(self) -> None:
-        self._listener = await asyncio.start_server(
-            self._on_connection, self.host, self.port
+        self._listener = await self._loop.create_server(
+            partial(_Inbound, self), self.host, self.port
         )
         self.port = self._listener.sockets[0].getsockname()[1]
 
@@ -1057,9 +1117,13 @@ class AsyncioServer:
         self.peers = {j: a for j, a in addresses.items() if j != self.node_id}
 
     def connect_peers(self) -> None:
+        """Dial every peer in ``peers`` that has no channel yet."""
+        if self.halted:
+            return
         for j in self.peers:
-            ch = self._channels[j] = _PeerChannel(self, j)
-            ch.start()
+            if j not in self._channels:
+                ch = self._channels[j] = _PeerChannel(self, j)
+                ch.start()
 
     async def kill(self, forever: bool = False) -> None:
         """Crash: drop timers, connections, listener, and volatile state.
@@ -1081,29 +1145,28 @@ class AsyncioServer:
         for handle in self._timers.values():
             handle.cancel()
         self._timers.clear()
-        if self._audit_task is not None:
-            self._audit_task.cancel()
-            try:
-                await self._audit_task
-            except asyncio.CancelledError:
-                pass
-            except Exception:
-                log.exception(
-                    "server %d audit stream failed during kill", self.node_id
-                )
-            self._audit_task = None
+        await _reap(
+            self._audit_task, "server %d audit stream failed during kill",
+            self.node_id,
+        )
+        self._audit_task = None
         for ch in self._channels.values():
             await ch.stop()
         self._channels.clear()
         if self._listener is not None:
+            # stop accepting and let accepts already scheduled attach:
+            # asyncio's accept path leaks the socket it accepted when the
+            # server closes under it, and the dialer waits on it forever
+            for sock in self._listener.sockets:
+                self._loop.remove_reader(sock.fileno())
+            await asyncio.sleep(0)
             self._listener.close()
             await self._listener.wait_closed()
             self._listener = None
-        for writer in list(self._inbound):
-            writer.close()
+        self.reset_connections()
         self._inbound.clear()
         self._clients.clear()
-        await asyncio.sleep(0.01)  # let connection handlers observe the close
+        await asyncio.sleep(0.01)  # let the connections observe the close
         # a disk half caught in flight may land or not -- the file is the
         # old checkpoint or the new one, and its batch is released to
         # nobody -- but it must be over before the next incarnation loads
@@ -1160,8 +1223,8 @@ class AsyncioServer:
         """
         for ch in self._channels.values():
             ch.reset()
-        for writer in list(self._inbound):
-            writer.close()
+        for conn in list(self._inbound):
+            conn.transport.close()
 
     async def shutdown(self) -> None:
         if not self.halted:
@@ -1170,51 +1233,40 @@ class AsyncioServer:
     # ------------------------------------------------------------------
     # connections
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        epoch = self._epoch
-        src = None
-        self._inbound.add(writer)
-        try:
-            hello = await read_frame(reader)
-            kind, src = hello[0], hello[1]
-            if kind == "hp":
-                base = hello[2] if len(hello) > 2 else 0
-                peer_epoch = hello[3] if len(hello) > 3 else 0
-                if not self.reconfig.frame_admissible(peer_epoch):
-                    # the dialer is in an older membership epoch: fence the
-                    # connection (none of its frames are delivered) but
-                    # hand back the commit chain first -- a live-but-behind
-                    # peer installs it and redials at the new epoch, while
-                    # a superseded zombie stays fenced forever
-                    try:
-                        writer.write(
-                            wire.encode_frame(("rc", list(self.commit_chain)))
-                        )
-                        self.frames_sent += 1
-                        self.flushes += 1
-                        await writer.drain()
-                    except _CONN_ERRORS:
-                        pass
-                    return
-                sent = hello[4] if len(hello) > 4 else None
-                await self._peer_loop(src, reader, writer, epoch, base, sent)
-            elif kind == "hc":
-                self._clients[src] = writer
-                await self._client_loop(src, reader, epoch)
-        except _CONN_ERRORS:
-            pass
-        finally:
-            self._inbound.discard(writer)
-            if src is not None and self._clients.get(src) is writer:
-                del self._clients[src]
-            writer.close()
+    def _on_hello(self, conn: "_Inbound", hello) -> bool:
+        """The first frame of an accepted connection: peer or client.
 
-    async def _peer_loop(
-        self, src, reader, writer, epoch, base=0, sent=None
-    ) -> None:
-        """Deliver data frames from peer ``src`` in order, exactly once.
+        Returns ``False`` -- close the connection -- for anything but a
+        well-formed hello, and for a peer in an older membership epoch.
+        """
+        kind = _kind(hello)
+        if (
+            kind == "hp"
+            and len(hello) == 5
+            and all(type(x) is int for x in hello[1:])
+        ):
+            _, src, base, peer_epoch, sent = hello
+            if not self.reconfig.frame_admissible(peer_epoch):
+                # the dialer is in an older membership epoch: fence the
+                # connection (none of its frames are delivered) but hand
+                # back the commit chain first -- a live-but-behind peer
+                # installs it and redials at the new epoch, while a
+                # superseded zombie stays fenced forever
+                self._write_frame(
+                    conn.transport, ("rc", list(self.commit_chain))
+                )
+                return False
+            conn.src, conn.handle = src, self._peer_frame
+            self._peer_hello(src, base, sent)
+            return True
+        if kind == "hc" and len(hello) == 2 and type(hello[1]) is int:
+            conn.src, conn.handle = hello[1], self._client_frame
+            self._clients[conn.src] = conn.transport
+            return True
+        return False
+
+    def _peer_hello(self, src: int, base: int, sent: int) -> None:
+        """Resynchronise the watermark of peer ``src`` with its hello.
 
         ``base`` is the peer's highest received ack: everything up to it
         has been pruned from the peer's ARQ queue and can never be
@@ -1233,7 +1285,7 @@ class AsyncioServer:
         first frames as duplicates; rewind to ``base`` instead.
         """
         last = self._recv_last.get(src, 0)
-        if sent is not None and sent < last:
+        if sent < last:
             last = self._recv_last[src] = base
             self._ooo.pop(src, None)
             self._persist()
@@ -1245,57 +1297,50 @@ class AsyncioServer:
                 for seq in [s for s in pending if s <= base]:
                     del pending[seq]
 
-        while True:
-            try:
-                payload = await read_frame(reader)
-            except wire.FrameCorrupt:
-                # bit rot on the wire, caught by the frame CRC: treat it
-                # exactly like a dropped frame -- the sender's ARQ
-                # retransmits data, gossip is best-effort anyway
-                self.frames_corrupt += 1
-                continue
-            if self._epoch != epoch or self.halted:
-                return
-            if payload[0] == "g":
-                # best-effort gossip (heartbeats, digests): no seq, no ack
-                gm = payload[1]
-                if self.detector is not None and isinstance(gm, Heartbeat):
-                    self.interpret_detector(
-                        self.detector.handle_message(src, gm, self.now())
-                    )
-                elif type(gm) is DigestMsg and self.repair is not None:
-                    if self.detector is not None:
-                        # a digest is liveness evidence like any frame
-                        self.interpret_detector(
-                            self.detector.observe(src, self.now())
-                        )
+    def _peer_frame(self, conn: "_Inbound", frame) -> bool:
+        """Deliver a data frame from peer ``conn.src`` in order, exactly
+        once; hand gossip to the detector and repair overlays."""
+        src = conn.src
+        kind = _kind(frame)
+        if kind == "g" and len(frame) == 2:
+            # best-effort gossip (heartbeats, digests): no seq, no ack
+            gm = frame[1]
+            if self.detector is not None and isinstance(gm, Heartbeat):
+                self.interpret(
+                    self.detector.handle_message(src, gm, self.now())
+                )
+            elif type(gm) is DigestMsg and self.repair is not None:
+                if self.detector is not None:
+                    # a digest is liveness evidence like any frame
                     self.interpret(
-                        self.repair.handle_message(src, gm, self.now())
+                        self.detector.observe(src, self.now())
                     )
-                continue
-            if payload[0] != "d":
-                continue
-            _, seq, msg = payload
-            if self.detector is not None:
-                # any delivered frame is liveness evidence, duplicates too
-                self.interpret_detector(self.detector.observe(src, self.now()))
-            last = self._recv_last.get(src, 0)
-            if seq > last:
-                pending = self._ooo.setdefault(src, {})
-                pending[seq] = msg
-                while last + 1 in pending:
-                    last += 1
-                    m = pending.pop(last)
-                    # watermark and state change reach disk in the same
-                    # checkpoint: delivery and its effect are atomic
-                    self._recv_last[src] = last
-                    self._persist()
-                    self.activity += 1
-                    self._deliver(src, m)
-            # cumulative, so one ack per peer per commit: the commit
-            # writes the watermark it has just made durable
-            self._held_acks[src] = writer
-            self._schedule_commit()
+                self.interpret(self.repair.handle_message(src, gm, self.now()))
+            return True
+        if kind != "d" or len(frame) != 3 or type(frame[1]) is not int:
+            return False
+        _, seq, msg = frame
+        if self.detector is not None:
+            # any delivered frame is liveness evidence, duplicates too
+            self.interpret(self.detector.observe(src, self.now()))
+        last = self._recv_last.get(src, 0)
+        if seq > last:
+            pending = self._ooo.setdefault(src, {})
+            pending[seq] = msg
+            while last + 1 in pending:
+                last += 1
+                m = pending.pop(last)
+                # watermark and state change reach disk in the same
+                # checkpoint: delivery and its effect are atomic
+                self._recv_last[src] = last
+                self._persist()
+                self.activity += 1
+                self._deliver(src, m)
+        # cumulative, so one ack per peer per commit: the commit writes
+        # the watermark it has just made durable
+        self._held_acks[src] = conn.transport
+        self._schedule_commit()
+        return True
 
     def _deliver(self, src: int, msg) -> None:
         """Route one in-order data frame to the right core."""
@@ -1340,43 +1385,35 @@ class AsyncioServer:
                 self.interpret(self.reconfig.apply_commit(msg, self.now()))
             self._remember_commit(msg)
 
-    async def _client_loop(self, src, reader, epoch) -> None:
-        while True:
-            try:
-                payload = await read_frame(reader)
-            except wire.FrameCorrupt:
-                # corrupt request: drop it, the client's retry re-sends
-                self.frames_corrupt += 1
-                continue
-            if self._epoch != epoch or self.halted:
-                return
-            if payload[0] == "m":
-                self.activity += 1
-                msg = payload[1]
-                if isinstance(msg, (ReconfigPropose, ReconfigCommit)):
-                    # membership control plane: coordinators speak it over
-                    # short-lived client connections (never fenced, so a
-                    # behind server can always be caught up)
-                    self.interpret(
-                        self.reconfig.handle_message(src, msg, self.now())
-                    )
-                    if isinstance(msg, ReconfigCommit):
-                        self._remember_commit(msg)
-                else:
-                    self.interpret(
-                        self.core.handle_message(src, msg, self.now())
-                    )
+    def _client_frame(self, conn: "_Inbound", frame) -> bool:
+        """Hand one request from client ``conn.src`` to its core."""
+        if _kind(frame) != "m" or len(frame) != 2:
+            return False
+        self.activity += 1
+        src, msg = conn.src, frame[1]
+        if isinstance(msg, (ReconfigPropose, ReconfigCommit)):
+            # membership control plane: coordinators speak it over
+            # short-lived client connections (never fenced, so a behind
+            # server can always be caught up)
+            self.interpret(self.reconfig.handle_message(src, msg, self.now()))
+            if isinstance(msg, ReconfigCommit):
+                self._remember_commit(msg)
+        else:
+            self.interpret(self.core.handle_message(src, msg, self.now()))
+        return True
 
     # ------------------------------------------------------------------
     # effect interpretation
 
     def interpret(self, effects) -> None:
+        """Carry out the effects of the core and of every overlay."""
         for e in effects:
             cls = type(e)
             if cls is SendEffect:
-                if type(e.msg) is DigestMsg:
-                    # digests are periodic and idempotent: best-effort
-                    # gossip frames, off the ARQ (like heartbeats)
+                if type(e.msg) in (Heartbeat, DigestMsg):
+                    # heartbeats and digests are periodic and idempotent:
+                    # best-effort gossip frames, off the ARQ (retransmitting
+                    # liveness evidence would defeat it)
                     channel = self._channels.get(e.dst)
                     if channel is not None:
                         channel.send_gossip(e.msg)
@@ -1404,6 +1441,17 @@ class AsyncioServer:
                     self._append_audit(e.entry)
             elif cls is MembershipChangedEffect:
                 self._on_membership_changed(e)
+            elif cls in _PEER_TRANSITIONS:
+                kind = _PEER_TRANSITIONS[cls]
+                self.detector_log.append((self.now(), e.peer, kind))
+                if self.on_detector_transition is not None:
+                    self.on_detector_transition(self.node_id, e.peer, kind)
+                if cls is PeerAliveEffect and self.repair is not None:
+                    # a peer back from the dead likely missed writes:
+                    # offer it our digest immediately (opportunistic repair)
+                    self.interpret(
+                        self.repair.on_peer_alive(e.peer, self.now())
+                    )
             else:
                 raise TypeError(f"unknown effect {e!r}")
 
@@ -1423,44 +1471,6 @@ class AsyncioServer:
         """
         offset = self.node_id * period / self.num_servers
         return round((when - offset) / period) * period + offset
-
-    def interpret_detector(self, effects) -> None:
-        """Interpret failure-detector effects (separate send path: gossip)."""
-        for e in effects:
-            cls = type(e)
-            if cls is SendEffect:
-                channel = self._channels.get(e.dst)
-                if channel is not None:
-                    channel.send_gossip(e.msg)
-            elif cls is SetTimerEffect:
-                handle = self._loop.call_later(
-                    e.delay / 1000.0, self._on_timer, e.timer_id, self._epoch
-                )
-                self._timers[e.timer_id] = handle
-            elif cls is CancelTimerEffect:
-                handle = self._timers.pop(e.timer_id, None)
-                if handle is not None:
-                    handle.cancel()
-            elif cls is PeerSuspectedEffect:
-                self.detector_log.append((self.now(), e.peer, "suspect"))
-                if self.on_detector_transition is not None:
-                    self.on_detector_transition(self.node_id, e.peer, "suspect")
-            elif cls is PeerAliveEffect:
-                self.detector_log.append((self.now(), e.peer, "alive"))
-                if self.on_detector_transition is not None:
-                    self.on_detector_transition(self.node_id, e.peer, "alive")
-                if self.repair is not None:
-                    # a peer back from the dead likely missed writes:
-                    # offer it our digest immediately (opportunistic repair)
-                    self.interpret(
-                        self.repair.on_peer_alive(e.peer, self.now())
-                    )
-            elif cls is PeerConfirmedDeadEffect:
-                self.detector_log.append((self.now(), e.peer, "dead"))
-                if self.on_detector_transition is not None:
-                    self.on_detector_transition(self.node_id, e.peer, "dead")
-            else:
-                raise TypeError(f"unknown detector effect {e!r}")
 
     def _on_membership_changed(self, e: MembershipChangedEffect) -> None:
         """React to an installed membership commit: refresh every cache
@@ -1482,15 +1492,6 @@ class AsyncioServer:
         if self.on_membership_change is not None:
             self.on_membership_change(self.node_id, e)
 
-    def ensure_peer_channels(self) -> None:
-        """Dial any peer in ``peers`` without a channel yet (post-join)."""
-        if self.halted:
-            return
-        for j in self.peers:
-            if j not in self._channels:
-                ch = self._channels[j] = _PeerChannel(self, j)
-                ch.start()
-
     def _send(self, dst: int, msg) -> None:
         if dst < self.num_servers:
             channel = self._channels.get(dst)
@@ -1506,7 +1507,7 @@ class AsyncioServer:
         self._timers.pop(timer_id, None)
         if timer_id[0] == "fd":
             if self.detector is not None:
-                self.interpret_detector(
+                self.interpret(
                     self.detector.handle_timer(timer_id, self.now())
                 )
             return
@@ -1530,12 +1531,12 @@ class AsyncioServer:
 
         Idempotent.  With no commit in flight it is queued for the next
         loop iteration: asyncio runs only the handles that were ready when
-        an iteration started, so a commit scheduled by the first handler
-        of an iteration runs in the next one, ahead of every reader task
-        the next ``select`` wakes -- the batch is what one iteration
-        handled.  With one in flight nothing is queued; the request is
-        remembered and ``_disk_done`` queues the follow-up, so a batch
-        grows for exactly as long as the disk takes.
+        an iteration started, so a commit scheduled by the first frame of
+        an iteration runs in the next one, ahead of every
+        ``data_received`` the next ``select`` dispatches -- the batch is
+        what one iteration handled.  With one in flight nothing is queued;
+        the request is remembered and ``_disk_done`` queues the follow-up,
+        so a batch grows for exactly as long as the disk takes.
         """
         if not self._commit_scheduled and not self.halted:
             self._commit_scheduled = True
@@ -1655,29 +1656,26 @@ class AsyncioServer:
         """``batch``'s checkpoint is durable: let its output out, in order."""
         for dst, msg in batch.replies:
             # a client that has gone re-requests through its retry policy
-            self._write_inbound(self._clients.get(dst), ("m", msg))
-        for _src, writer, upto in batch.acks:
-            self._write_inbound(writer, ("a", upto))
-        for channel, writer, frames in batch.frames:
-            channel.release(writer, frames)
+            self._write_frame(self._clients.get(dst), ("m", msg))
+        for _src, transport, upto in batch.acks:
+            self._write_frame(transport, ("a", upto))
+        for channel, transport, frames in batch.frames:
+            channel.release(transport, frames)
 
     def _reclaim(self, batch: _HeldBatch) -> None:
         """Put a batch whose write failed back in front of what is held."""
         self._held_replies[:0] = batch.replies
-        for src, writer, _upto in batch.acks:
+        for src, transport, _upto in batch.acks:
             # a newer connection from ``src`` is the one that gets the ack
-            self._held_acks.setdefault(src, writer)
-        for channel, writer, frames in batch.frames:
-            channel.reclaim(writer, frames)
+            self._held_acks.setdefault(src, transport)
+        for channel, transport, frames in batch.frames:
+            channel.reclaim(transport, frames)
 
-    def _write_inbound(self, writer, frame) -> None:
-        """Write one frame on a connection a client or peer dialled."""
-        if writer is None:
+    def _write_frame(self, transport, frame) -> None:
+        """Write one frame on its own (a reply, an ack, a hello)."""
+        if transport is None or transport.is_closing():
             return
-        try:
-            writer.write(wire.encode_frame(frame))
-        except _CONN_ERRORS:  # pragma: no cover - racing disconnect
-            return
+        transport.write(wire.encode_frame(frame))
         self.frames_sent += 1
         self.flushes += 1
 
@@ -1871,14 +1869,9 @@ class AsyncioClient:
 
     async def close(self) -> None:
         self._closed = True
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            except Exception:
-                log.exception("client %d dial loop failed during close", self.node_id)
+        await _reap(
+            self._task, "client %d dial loop failed during close", self.node_id
+        )
         for handle in self._timers.values():
             handle.cancel()
         self._timers.clear()
@@ -2065,8 +2058,8 @@ class AsyncioCluster:
         """Aggregate wire-frame counters across servers and clients.
 
         ``frames_sent`` counts frames put on a socket, ``flushes`` counts
-        ``writer.write`` calls; frames/flushes is the per-tick coalescing
-        factor.
+        ``transport.write`` calls (a client's stream write is one frame);
+        frames/flushes is the per-commit coalescing factor.
         """
         frames = sum(s.frames_sent for s in self.servers)
         flushes = sum(s.flushes for s in self.servers)
@@ -2215,7 +2208,7 @@ class AsyncioCluster:
         # the checkpoint restores cfg_epoch/cfg_retired, but the extended
         # code and missed epochs are reconstructed from the commit log
         server.install_commits(self._commit_log)
-        server.ensure_peer_channels()
+        server.connect_peers()
 
     # ------------------------------------------------------------------
     # dynamic membership (epoch-fenced reconfiguration)
@@ -2238,7 +2231,7 @@ class AsyncioCluster:
             if s.node_id in self.retired:
                 continue
             s.set_peers(addresses)
-            s.ensure_peer_channels()
+            s.connect_peers()
 
     async def _reconfig_rpc(self, server: AsyncioServer, msg, timeout: float = 5.0):
         """One membership control request/reply on a short-lived connection.

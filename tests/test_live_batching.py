@@ -3,27 +3,29 @@
 Regression tests for the throughput-first send path:
 
 * **coalescing** -- frames one commit releases leave in a single
-  ``writer.write`` of concatenated frames that decodes back to the exact
-  message sequence (and nothing leaves before the release);
+  ``transport.write`` of concatenated frames that decodes back to the
+  exact message sequence (and nothing leaves before the release);
 * **detach / release** -- a commit takes the held frames when it snapshots
   the state and sends them when its checkpoint is durable: frames enqueued
   in between wait for the next commit, a batch whose connection has been
   redialled meanwhile is dropped (the replay covers it), and a batch whose
-  write failed goes back in front of what was enqueued since;
-* **backpressure** -- while the transport sits over its high-water mark
-  the channel stops feeding the socket (data frames wait in ``unacked``)
-  and replays the skipped tail after ``drain()``, with no loss or
-  reordering, chaos drops included;
+  write failed goes back in front of what was enqueued since; a lost
+  connection stops the channel writing;
+* **backpressure** -- between the transport's ``pause_writing`` and
+  ``resume_writing`` the channel stops feeding the socket (data frames
+  wait in ``unacked``) and replays the skipped tail on resume, with no
+  loss or reordering, chaos drops included;
 * **age gating** -- the retransmission pass only re-sends unacked frames
   whose last transmission attempt is older than the interval (the old
   loop re-sent the whole tail every pass, multiplying chaos ``dup`` fates);
 * **shutdown** -- real task failures surface in the log instead of being
   swallowed together with ``CancelledError``.
 
-The channel-level tests drive a :class:`_PeerChannel` against a fake
-``StreamWriter`` with a controllable drain gate and write-buffer size, and
-play the server's commit themselves (``_commit``: detach, then release);
-the end-to-end test runs a real batched cluster under chaos.
+The channel-level tests drive a :class:`_PeerChannel` over a fake
+transport that pauses and resumes the channel's :class:`_Dialed` protocol
+like a real one, and play the server's commit themselves (``_commit``:
+detach, then release); the end-to-end test runs a real batched cluster
+under chaos.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from repro.runtime import wire
 from repro.runtime.asyncio_rt import (
     RETRANSMIT_INTERVAL,
     AsyncioCluster,
+    _Dialed,
     _PeerChannel,
 )
 from repro.runtime.chaos_rt import LiveFaultInjector
@@ -46,36 +49,39 @@ from repro.sim.network import LinkFaults
 
 
 class _FakeTransport:
-    def __init__(self):
+    """Collects writes and plays a transport's flow control.
+
+    Like a real transport it calls ``pause_writing`` on its protocol when
+    a write leaves the buffer above the high-water mark; :meth:`drain`
+    empties the buffer and calls ``resume_writing``.
+    """
+
+    HIGH = 64
+
+    def __init__(self, protocol):
+        self.protocol = protocol
         self.buffer_size = 0
-
-    def get_write_buffer_limits(self):
-        return (16, 64)
-
-    def get_write_buffer_size(self):
-        return self.buffer_size
-
-    def is_closing(self):
-        return False
-
-
-class _FakeWriter:
-    """Collects writes; ``drain()`` blocks while ``drain_gate`` is unset."""
-
-    def __init__(self):
-        self.transport = _FakeTransport()
+        self.paused = False
+        self.closed = False
         self.writes: list[bytes] = []
-        self.drain_gate: asyncio.Event | None = None
 
     def write(self, data):
         self.writes.append(bytes(data))
+        if self.buffer_size > self.HIGH and not self.paused:
+            self.paused = True
+            self.protocol.pause_writing()
 
-    async def drain(self):
-        if self.drain_gate is not None:
-            await self.drain_gate.wait()
+    def drain(self):
+        self.buffer_size = 0
+        if self.paused:
+            self.paused = False
+            self.protocol.resume_writing()
+
+    def is_closing(self):
+        return self.closed
 
     def close(self):
-        pass
+        self.closed = True
 
 
 class _StubServer:
@@ -127,20 +133,21 @@ def _commit(ch: _PeerChannel) -> None:
         ch.release(*held)
 
 
-def _channel(stub: _StubServer) -> tuple[_PeerChannel, _FakeWriter]:
-    """A connected channel with its flusher running (call inside a loop)."""
+def _connect(ch: _PeerChannel) -> _FakeTransport:
+    """Give ``ch`` a fresh connection, as its dial loop does after the
+    hello: held frames for the old one are shed (call inside a loop)."""
+    conn = _Dialed(ch)
+    fake = _FakeTransport(conn)
+    conn.connection_made(fake)
+    ch._pending.clear()
+    ch.transport = fake
+    return fake
+
+
+def _channel(stub: _StubServer) -> tuple[_PeerChannel, _FakeTransport]:
+    """A connected channel (call inside a loop)."""
     ch = _PeerChannel(stub, 1)
-    fake = _FakeWriter()
-    ch.writer = fake
-    ch._flush_task = asyncio.ensure_future(ch._flush_loop())
-    return ch, fake
-
-
-async def _flushed(ch: _PeerChannel) -> None:
-    """Yield to the flusher until it has written every released frame."""
-    await asyncio.sleep(0)
-    while ch._ready:
-        await asyncio.sleep(0)
+    return ch, _connect(ch)
 
 
 def test_batched_sends_coalesce_into_single_write():
@@ -156,7 +163,6 @@ def test_batched_sends_coalesce_into_single_write():
         assert stub.commits_requested == 5
         assert fake.writes == []
         _commit(ch)
-        await asyncio.sleep(0.02)
         # one commit, one write -- not one write per frame
         assert len(fake.writes) == 1
         frames = _frames(fake.writes)
@@ -165,6 +171,7 @@ def test_batched_sends_coalesce_into_single_write():
         assert delivered == msgs and last == len(msgs)
         assert stub.frames_sent == 5 and stub.flushes == 1
         await ch.stop()
+        assert fake.closed
 
     asyncio.run(run())
 
@@ -177,15 +184,13 @@ def test_frames_enqueued_after_the_snapshot_wait_for_the_next_commit():
         ch.send(("payload", 1))
         held = ch.detach()  # the commit snapshots: seq 1-2 are in the file
         ch.send(("payload", 2))  # handled with the write in flight
-        await _flushed(ch)
         assert fake.writes == []
         ch.release(*held)
-        await _flushed(ch)
         assert [f[1] for f in _frames(fake.writes)] == [1, 2]
         assert [f[1] for f in ch._pending] == [3]  # still held
         _commit(ch)
-        await _flushed(ch)
         assert [f[1] for f in _frames(fake.writes)] == [1, 2, 3]
+        assert len(fake.writes) == 2  # one write per commit
         assert ch.detach() is None  # nothing held: nothing to commit
         await ch.stop()
 
@@ -198,18 +203,15 @@ def test_a_batch_detached_for_a_dead_connection_is_dropped_not_resent():
         ch, old = _channel(stub)
         ch.send(("payload", 0))
         held = ch.detach()
-        # the channel redials while the write is in flight: ``_run`` sheds
-        # what was queued for the dead connection and replays ``unacked``
-        new = _FakeWriter()
-        ch._pending.clear()
-        ch.writer = new
+        # the channel redials while the write is in flight: the dial loop
+        # sheds what was queued for the dead connection and replays
+        # ``unacked``
+        new = _connect(ch)
         for seq, msg in list(ch.unacked):
             ch._transmit(seq, msg)
         ch.release(*held)  # bound for ``old``: must not go out on ``new``
-        await _flushed(ch)
         assert old.writes == [] and new.writes == []
         _commit(ch)
-        await _flushed(ch)
         assert [f[1] for f in _frames(new.writes)] == [1]  # once, not twice
         # a failed write puts a live connection's batch back in front ...
         ch.send(("payload", 1))
@@ -219,10 +221,30 @@ def test_a_batch_detached_for_a_dead_connection_is_dropped_not_resent():
         assert [f[1] for f in ch._pending] == [2, 3]
         # ... and forgets a dead connection's
         held = ch.detach()
-        ch.writer = None
+        ch.transport = None
         ch.reclaim(*held)
         assert ch._pending == []
         await ch.stop()
+
+    asyncio.run(run())
+
+
+def test_a_lost_connection_stops_the_channel_writing():
+    async def run():
+        stub = _StubServer()
+        ch, fake = _channel(stub)
+        conn = fake.protocol
+        ch.send(("payload", 0))
+        held = ch.detach()
+        conn.connection_lost(None)
+        assert ch.transport is None and conn.closed.done()
+        ch.release(*held)
+        ch.send(("payload", 1))  # disconnected: waits in unacked
+        assert fake.writes == [] and ch._pending == []
+        assert [seq for seq, _ in ch.unacked] == [1, 2]
+        # flow control of a connection that is no longer the channel's
+        conn.pause_writing()
+        assert not ch._paused
 
     asyncio.run(run())
 
@@ -231,31 +253,26 @@ def test_backpressure_pauses_enqueue_and_replays_without_loss():
     async def run():
         stub = _StubServer()
         ch, fake = _channel(stub)
-        fake.drain_gate = asyncio.Event()  # unset: drain() parks
-        fake.transport.buffer_size = 1 << 20  # over the high-water mark
+        fake.buffer_size = 1 << 20  # the next write crosses the high water
         for k in range(3):
             ch.send(("payload", k))
         _commit(ch)
-        await asyncio.sleep(0.02)
-        # the flusher wrote the first batch, then parked in drain()
-        assert ch._paused
-        writes_before = len(fake.writes)
+        # the first batch was written, and the transport paused the channel
+        assert ch._paused and len(fake.writes) == 1
         for k in range(3, 6):
             ch.send(("payload", k))
         _commit(ch)
-        await asyncio.sleep(0.02)
         # over the high-water mark nothing new reaches the socket: the
         # skipped frames wait in unacked, not in an unbounded pending list
-        assert len(fake.writes) == writes_before
-        assert not ch._pending and not ch._ready
+        assert len(fake.writes) == 1
+        assert not ch._pending
         assert ch._stall_from == 4
-        # the peer drains us; the flusher replays the skipped tail, which
-        # queues behind the barrier like any other frame
-        fake.transport.buffer_size = 0
-        fake.drain_gate.set()
-        await asyncio.sleep(0.02)
+        # the peer drains us; ``resume_writing`` replays the skipped tail,
+        # which queues behind the barrier like any other frame
+        fake.drain()
+        assert not ch._paused and ch._stall_from is None
+        assert [f[1] for f in ch._pending] == [4, 5, 6]
         _commit(ch)
-        await asyncio.sleep(0.02)
         delivered, last = _receive(_frames(fake.writes))
         assert last == 6
         assert delivered == [("payload", k) for k in range(6)]
@@ -275,14 +292,15 @@ def test_backpressure_under_chaos_drops_no_loss_no_reorder():
         total = 20
         for k in range(total):
             ch.send(("payload", k))
-            if k == 9:
+            if k == 4:
                 # squeeze the transport mid-burst
-                fake.drain_gate = asyncio.Event()
-                fake.transport.buffer_size = 1 << 20
+                _commit(ch)
+                fake.buffer_size = 1 << 20
         _commit(ch)
-        await asyncio.sleep(0.03)
-        fake.transport.buffer_size = 0
-        fake.drain_gate.set()
+        await asyncio.sleep(0.03)  # the delayed duplicates land
+        _commit(ch)
+        assert ch._paused and ch._stall_from is not None
+        fake.drain()
         # drive acks + aged retransmissions until everything landed
         loop = asyncio.get_running_loop()
         last = 0
@@ -311,18 +329,16 @@ def test_retransmit_pass_is_age_gated():
         ch.send(("payload", 1))
         ch.send(("payload", 2))
         _commit(ch)
-        await _flushed(ch)
         sent_before = len(_frames(fake.writes))
         assert sent_before == 2  # one frame per released message
         # both frames were transmitted microseconds ago: a pass now must
         # re-send nothing (the old loop re-sent the entire tail)
         assert ch._retransmit_pass(loop.time()) == 0
-        await _flushed(ch)
+        _commit(ch)
         assert len(_frames(fake.writes)) == sent_before
         # once their age exceeds the interval they do go out again
         assert ch._retransmit_pass(loop.time() + RETRANSMIT_INTERVAL) == 2
         _commit(ch)
-        await _flushed(ch)
         assert len(_frames(fake.writes)) == sent_before + 2
         # acked frames leave the tail and the age map
         ch._on_ack(2)

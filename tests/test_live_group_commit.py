@@ -6,10 +6,10 @@ a server before a checkpoint containing that state and that receive
 watermark is durable -- with the checkpoint's disk half on a worker thread
 and the event loop handling further events meanwhile.
 
-* **order spy** -- over ``StreamWriter.write``, ``os.fsync`` and
-  ``FileDurableStore.persist``: a server writes no ``("m", ...)``,
-  ``("a", ...)`` or ``("d", ...)`` frame showing more than the last
-  checkpoint whose directory fsync has returned.  Run over a plain
+* **order spy** -- over the ``write`` of the socket transports the servers
+  own, ``os.fsync`` and ``FileDurableStore.persist``: a server writes no
+  ``("m", ...)``, ``("a", ...)`` or ``("d", ...)`` frame showing more than
+  the last checkpoint whose directory fsync has returned.  Run over a plain
   workload, and over one where a gate stops a write in flight while the
   server handles more -- there it must catch two mutants: an ack written
   with the release-time watermark, and held frames not split at the
@@ -65,6 +65,7 @@ from repro.runtime import wire
 from repro.runtime.asyncio_rt import (
     AsyncioCluster,
     AsyncioServer,
+    _Inbound,
     _PeerChannel,
 )
 from repro.runtime.auditor import OnlineAuditor
@@ -93,16 +94,35 @@ def _is_dir_fd(fd: int) -> bool:
     return stat.S_ISDIR(os.fstat(fd).st_mode)
 
 
+#: the transport class of every TCP connection on a selector event loop
+_SOCKET_TRANSPORT = asyncio.selector_events._SelectorSocketTransport
+
+
+def _owner(server, transport):
+    """``(peer, connection)``: the peer ``server`` dialled on
+    ``transport``, and the :class:`_Inbound` it accepted it as."""
+    dialled = next(
+        (j for j, ch in server._channels.items() if ch.transport is transport),
+        None,
+    )
+    inbound = next(
+        (c for c in server._inbound if c.transport is transport), None
+    )
+    return dialled, inbound
+
+
 class _OrderSpy:
     """Checks every frame a server writes against what it has on disk.
 
-    Spies on ``os.fsync``, ``FileDurableStore.persist`` and
-    ``StreamWriter.write``.  ``durable[s]`` is the content of the last
-    checkpoint server ``s`` made durable.  It is copied at the snapshot
-    (the capture is zero-copy) and noted only once the disk half of that
-    very persist has returned on its worker thread, i.e. after the
-    directory fsync of that server's file -- or at once when the store
-    found the file already holding that very state.  A frame is a
+    Spies on ``os.fsync``, ``FileDurableStore.persist`` and the ``write``
+    of the socket transport class, which every connection a server accepts
+    or dials uses (clients' stream writes pass through it too, and are
+    told apart by not belonging to a server).  ``durable[s]`` is the
+    content of the last checkpoint server ``s`` made durable.  It is
+    copied at the snapshot (the capture is zero-copy) and noted only once
+    the disk half of that very persist has returned on its worker thread,
+    i.e. after the directory fsync of that server's file -- or at once
+    when the store found the file already holding that very state.  A frame is a
     violation when it shows more than that checkpoint holds: a data frame
     whose sequence number the checkpoint's send state has not reached, an
     ack above the checkpoint's receive watermark, a reply stamped with a
@@ -116,7 +136,6 @@ class _OrderSpy:
         self.dir_fsyncs: list[int] = []
         self.violations: list[str] = []
         self._cluster = cluster
-        self._dialler: dict[object, int] = {}
         spy = self
 
         real_fsync = os.fsync
@@ -159,28 +178,18 @@ class _OrderSpy:
 
         monkeypatch.setattr(store, "persist", persist)
 
-        real_peer_loop = AsyncioServer._peer_loop
+        real_write = _SOCKET_TRANSPORT.write
 
-        def peer_loop(server, src, reader, writer, *args):
-            spy._dialler[writer] = src
-            return real_peer_loop(server, src, reader, writer, *args)
+        def write(transport, data):
+            spy._check(transport, bytes(data))
+            return real_write(transport, data)
 
-        monkeypatch.setattr(AsyncioServer, "_peer_loop", peer_loop)
+        monkeypatch.setattr(_SOCKET_TRANSPORT, "write", write)
 
-        real_write = asyncio.StreamWriter.write
-
-        def write(writer, data):
-            spy._check(writer, bytes(data))
-            return real_write(writer, data)
-
-        monkeypatch.setattr(asyncio.StreamWriter, "write", write)
-
-    def _check(self, writer, data: bytes) -> None:
+    def _check(self, transport, data: bytes) -> None:
         for s in self._cluster.servers:
-            dialled = next(
-                (j for j, ch in s._channels.items() if ch.writer is writer), None
-            )
-            if dialled is not None or writer in s._inbound:
+            dialled, inbound = _owner(s, transport)
+            if dialled is not None or inbound is not None:
                 break
         else:
             return  # a client's connection
@@ -195,7 +204,7 @@ class _OrderSpy:
             if kind == "d":
                 ok = frame[1] <= disk["seq"].get(dialled, 0)
             elif kind == "a":
-                ok = frame[1] <= disk["recv"].get(self._dialler[writer], 0)
+                ok = frame[1] <= disk["recv"].get(inbound.src, 0)
             else:
                 ts = getattr(frame[1], "ts", None)
                 ok = ts is None or (disk["vc"] is not None and ts.leq(disk["vc"]))
@@ -306,8 +315,8 @@ def _ack_with_release_time_watermark(monkeypatch):
 
     def release(server, batch):
         acks = [
-            (src, writer, server._recv_last.get(src, 0))
-            for src, writer, _upto in batch.acks
+            (src, transport, server._recv_last.get(src, 0))
+            for src, transport, _upto in batch.acks
         ]
         real(server, batch._replace(acks=acks))
 
@@ -317,9 +326,9 @@ def _ack_with_release_time_watermark(monkeypatch):
 def _pending_not_split_at_snapshot(monkeypatch):
     real = _PeerChannel.release
 
-    def release(channel, writer, frames):
+    def release(channel, transport, frames):
         late, channel._pending = channel._pending, []
-        real(channel, writer, frames + late)
+        real(channel, transport, frames + late)
 
     monkeypatch.setattr(_PeerChannel, "release", release)
 
@@ -387,7 +396,8 @@ def test_output_handled_with_a_write_in_flight_waits_for_the_next_commit(
 
 
 class _AckSink:
-    """Stands in for the connection a peer dialled: collects what we ack."""
+    """Stands in for the transport of a connection a peer dialled:
+    collects what we ack."""
 
     def __init__(self):
         self.writes: list[bytes] = []
@@ -395,8 +405,11 @@ class _AckSink:
     def write(self, data):
         self.writes.append(bytes(data))
 
+    def is_closing(self):
+        return False
+
     def close(self):
-        pass
+        raise AssertionError("the server closed a well-formed connection")
 
 
 def test_one_iteration_of_peer_frames_is_one_checkpoint_and_one_ack_per_peer(
@@ -412,45 +425,63 @@ def test_one_iteration_of_peer_frames_is_one_checkpoint_and_one_ack_per_peer(
         victim = cluster.servers[victim_id]
         peers = [j for j in range(code.N) if j != victim_id]
         sinks = {j: _AckSink() for j in peers}
-        tasks = []
+        streams = {}
         for j in peers:
-            # everything peer j "sent" is already buffered, so its reader
-            # task handles all of it in one step, without yielding
-            reader = asyncio.StreamReader()
+            # a connection from peer j: its hello, then every frame it
+            # "sent", arriving in one read
+            hello = ("hp", j, 0, victim.core.cfg_epoch, per_peer)
+            frames = [hello]
             for seq in range(1, per_peer + 1):
                 ts = VectorClock.zero(code.N).with_component(j, seq)
                 msg = App(seq % code.K, cluster.value(10 * j + seq), Tag(ts, 100 + j))
-                reader.feed_data(wire.encode_frame(("d", seq, msg)))
-            tasks.append(
-                asyncio.ensure_future(
-                    victim._peer_loop(j, reader, sinks[j], victim._epoch)
-                )
-            )
+                frames.append(("d", seq, msg))
+            streams[j] = wire.encode_frames(frames)
+        # the victim's disk halves only: its released frames reach the
+        # other servers at once, and their commits fsync too
         fsyncs = 0
-        real_fsync = os.fsync
+        victim_thread = threading.local()
+        real_fsync, real_persist = os.fsync, cluster.store.persist
 
         def fsync(fd):
             nonlocal fsyncs
-            fsyncs += 1
+            fsyncs += getattr(victim_thread, "writing", False)
             real_fsync(fd)
 
+        def persist(checkpoint, defer=False):
+            disk = real_persist(checkpoint, defer=defer)
+            if disk is None or checkpoint.server_id != victim_id:
+                return disk
+            write, landed = disk
+
+            def victim_write():
+                victim_thread.writing = True
+                try:
+                    write()
+                finally:
+                    victim_thread.writing = False
+
+            return victim_write, landed
+
         monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(cluster.store, "persist", persist)
         writes_before = cluster.store.persist_counts.get(victim_id, 0)
-        # one loop iteration: the four reader tasks run, and leave a dirty
-        # server with one commit scheduled and everything held
-        await asyncio.sleep(0)
+        # one loop iteration: the four connections' ``data_received`` run,
+        # and leave a dirty server with one commit scheduled and
+        # everything held
+        for j in peers:
+            conn = _Inbound(victim)
+            conn.connection_made(sinks[j])
+            conn.data_received(streams[j])
+            victim._inbound.discard(conn)  # ``kill`` must not close a sink
         assert victim._dirty and victim.committing
         assert not any(s.writes for s in sinks.values())
         await asyncio.wait_for(victim.committed(), 5.0)
-        monkeypatch.setattr(os, "fsync", real_fsync)
         wrote = cluster.store.persist_counts.get(victim_id, 0) - writes_before
+        fsynced = fsyncs
         vc = victim.core.vc.components
         checkpoint = cluster.store.load(victim_id)
-        for t in tasks:
-            t.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
         await cluster.shutdown()
-        return wrote, fsyncs, sinks, vc, checkpoint, peers
+        return wrote, fsynced, sinks, vc, checkpoint, peers
 
     wrote, fsyncs, sinks, vc, checkpoint, peers = asyncio.run(run())
     assert wrote == 1 and fsyncs == 2  # temp file + directory, once
@@ -786,21 +817,19 @@ def test_a_failed_disk_half_releases_nothing_and_the_next_commit_everything_once
         def writes_so_far() -> int:
             return cluster.store.persist_counts.get(victim_id, 0)
 
-        real_write = asyncio.StreamWriter.write
+        real_write = _SOCKET_TRANSPORT.write
 
-        def write(writer, data):
-            if writer in victim._inbound or any(
-                ch.writer is writer for ch in victim._channels.values()
-            ):
+        def write(transport, data):
+            if any(x is not None for x in _owner(victim, transport)):
                 for frame in _frames([bytes(data)]):
                     if frame[0] == "m":
                         wrote.append(("m", frame[1].opid, writes_so_far()))
                     elif frame[0] == "d":
-                        peer = writer.get_extra_info("peername")
+                        peer = transport.get_extra_info("peername")
                         wrote.append(("d", peer, frame[1]))
-            return real_write(writer, data)
+            return real_write(transport, data)
 
-        monkeypatch.setattr(asyncio.StreamWriter, "write", write)
+        monkeypatch.setattr(_SOCKET_TRANSPORT, "write", write)
         disk_writes = writes_so_far()
         frames_sent = victim.frames_sent
         gate.arm()
@@ -840,7 +869,7 @@ def test_a_failed_disk_half_releases_nothing_and_the_next_commit_everything_once
             (op.opid, disk_writes + 1) for op in done[:2]
         ]
         for j, ch in victim._channels.items():
-            peer = ch.writer.get_extra_info("peername")
+            peer = ch.transport.get_extra_info("peername")
             seqs = [w[2] for w in wrote if w[:2] == ("d", peer)]
             assert seqs[:2] == held_seqs[j]
             assert seqs == sorted(set(seqs)), "a frame went out twice"

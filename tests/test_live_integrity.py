@@ -403,6 +403,9 @@ def test_bytes_at_rest_after_a_remote_read_do_not_depend_on_gc_ticks():
                 for s in responders
             ]
 
+        # the read returns once the victim holds a recovery set; a
+        # responder it did not need may still be committing its ValResp
+        await cluster.committed()
         before = at_rest()
         ticks = sum(s.core.stats.gc_runs for s in cluster.servers)
         await asyncio.sleep(0.3)
