@@ -9,10 +9,13 @@ sockets, monotonic-clock timers, and file-backed durable checkpoints.
 
 Topology
 --------
-Each :class:`AsyncioServer` owns one TCP listener.  Every connection it
-accepts or dials is an :class:`asyncio.Protocol` handing each frame to a
-synchronous handler -- no task per connection.  Two kinds arrive on the
-listener, told apart by a hello frame (a malformed one closes it):
+Each :class:`AsyncioServer` owns one TCP listener.  Every connection --
+peer channels, clients, the audit stream, control RPCs -- is one
+:class:`asyncio.Protocol` on the frame splitter :class:`_Framed`, handing
+each frame to a synchronous handler; no task per connection, and every
+dialled one is kept up by the one dial loop :func:`_redial`.  Two kinds
+arrive on a server's listener, told apart by a hello frame (a malformed
+one closes it):
 
 * ``("hp", i, acked, cfg_epoch, seq)`` -- the *peer data channel* from
   server ``i``: server ``i`` dials every other server and owns the directed
@@ -136,19 +139,16 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-#: seconds between reconnect attempts for peer channels and clients
+#: seconds between reconnect attempts of every dialled connection
 RECONNECT_DELAY = 0.02
+
+#: seconds ``AsyncioClient.start`` waits for its first connection
+CLIENT_START_TIMEOUT = 2.0
 
 #: seconds between retransmissions of the unacked tail while chaos is
 #: active (plain TCP never loses frames, so the loop only runs under an
 #: injector; the receiver's watermark dedups the repeats)
 RETRANSMIT_INTERVAL = 0.05
-
-#: seconds between polls of the audit log by the streaming task
-AUDIT_POLL = 0.02
-
-#: what a stream connection can die of (``ConnectionError`` is an OSError)
-_CONN_ERRORS = (OSError, asyncio.IncompleteReadError, wire.WireError)
 
 #: failure-detector effects -> the ``detector_log`` kind they record
 _PEER_TRANSITIONS = {
@@ -160,20 +160,6 @@ _PEER_TRANSITIONS = {
 _U32 = struct.Struct(">I")
 
 
-async def read_frame(reader: asyncio.StreamReader):
-    """Read one length-prefixed wire frame from a stream.
-
-    Raises :class:`~repro.runtime.wire.FrameCorrupt` on a CRC mismatch
-    *after* consuming the frame's bytes, so the stream stays framed and the
-    caller can simply skip the frame (it behaves like a drop: ARQ
-    retransmission supplies a clean copy).
-    """
-    (length,) = _U32.unpack(await reader.readexactly(4))
-    if length > wire.MAX_FRAME_BYTES:
-        raise wire.WireError(f"frame length {length} exceeds MAX_FRAME_BYTES")
-    return wire.decode_body(await reader.readexactly(length))
-
-
 def _kind(frame) -> str | None:
     """A frame's kind, or ``None`` for anything but a tuple led by a str."""
     if type(frame) is tuple and frame and type(frame[0]) is str:
@@ -182,19 +168,29 @@ def _kind(frame) -> str | None:
 
 
 class _Framed(asyncio.Protocol):
-    """One connection of a server: bytes in, every whole frame out to the
-    subclass's ``frame_received``, in order, before ``data_received``
-    returns.  A frame failing its CRC is skipped and counted (a drop: the
-    ARQ retransmits); an oversize length prefix or an undecodable frame
-    closes the connection."""
+    """One connection: bytes in, every whole frame out to the subclass's
+    ``frame_received``, in order, before ``data_received`` returns.  A
+    frame failing its CRC goes to :meth:`frame_corrupt`; an oversize
+    length prefix or an undecodable frame closes the connection.
+    ``closed`` resolves when the connection is lost."""
 
-    def __init__(self, server: "AsyncioServer"):
-        self.server = server
+    def __init__(self, owner):
+        #: whoever counts this connection's CRC drops (``frames_corrupt``)
+        self.owner = owner
         self.transport: asyncio.Transport | None = None
+        self.closed = asyncio.get_running_loop().create_future()
         self._buf = bytearray()
 
     def connection_made(self, transport) -> None:
         self.transport = transport
+
+    def connection_lost(self, exc) -> None:
+        if not self.closed.done():
+            self.closed.set_result(None)
+
+    def frame_corrupt(self) -> None:
+        """Skip and count: a drop, which the ARQ or a retry re-sends."""
+        self.owner.frames_corrupt += 1
 
     def data_received(self, data: bytes) -> None:
         buf = self._buf
@@ -215,13 +211,68 @@ class _Framed(asyncio.Protocol):
                 try:
                     frame = wire.decode_body(body)
                 except wire.FrameCorrupt:
-                    self.server.frames_corrupt += 1
+                    self.frame_corrupt()
                     continue
                 except wire.WireError:
                     self.transport.close()
                     return
                 self.frame_received(frame)
         del buf[:pos]
+
+
+async def _redial(target, on_connected) -> None:
+    """The one dial loop, of peer channels, clients and audit streams:
+    dial ``target()``'s ``(protocol factory, host, port)``, hand the
+    connection to ``on_connected`` unless already lost, redial
+    ``RECONNECT_DELAY`` after it closes; cancelling closes it."""
+    loop = asyncio.get_running_loop()
+    while True:
+        try:
+            factory, host, port = target()
+            transport, conn = await loop.create_connection(factory, host, port)
+        except OSError:
+            pass
+        else:
+            try:
+                if not conn.closed.done():
+                    on_connected(conn)
+                await conn.closed
+            finally:
+                transport.close()
+        await asyncio.sleep(RECONNECT_DELAY)
+
+
+class _Reply(_Framed):
+    """A one-shot control connection: the first ``("m", msg)`` frame is
+    the reply and closes it; any other, a damaged one too, is skipped."""
+
+    reply = None
+
+    def frame_received(self, frame) -> None:
+        if _kind(frame) == "m" and len(frame) == 2:
+            self.reply = frame
+            self.transport.close()
+
+    def frame_corrupt(self) -> None:
+        pass
+
+
+async def _control_rpc(host: str, port: int, ctrl_id: int, msg, timeout: float):
+    """Send ``msg`` to a server on a short-lived client connection (never
+    epoch-fenced: a behind server must be reachable for catch-up) and
+    return the reply; ``OSError`` if the server is unreachable or closes
+    first, ``asyncio.TimeoutError`` after ``timeout`` seconds."""
+    transport, conn = await asyncio.get_running_loop().create_connection(
+        partial(_Reply, None), host, port
+    )
+    try:
+        transport.write(wire.encode_frames([("hc", ctrl_id), ("m", msg)]))
+        await asyncio.wait_for(conn.closed, timeout)
+    finally:
+        transport.close()
+    if conn.reply is None:
+        raise ConnectionResetError(f"{host}:{port} closed without a reply")
+    return conn.reply[1]
 
 
 def _now_ms(loop: asyncio.AbstractEventLoop) -> float:
@@ -588,24 +639,15 @@ class _PeerChannel:
     duplicates and reorderings are absorbed by the receiver's watermark --
     so chaos costs latency, never correctness.
 
-    Commit barrier: no frame goes from a handler to the socket.  Frames
-    surviving chaos land in ``_pending`` -- *held*: the state change that
-    produced them is not on disk yet -- and ask the server for a commit;
-    the commit takes them with :meth:`detach` in the step that snapshots
-    the state and hands them to :meth:`release` once that checkpoint is
-    durable (or back to :meth:`reclaim` when the disk refused it).
-    ``release`` writes the whole batch with a **single**
-    ``transport.write``.
-
-    The channel owns the transport of its current connection; acks and
-    fence responses come back through that connection's :class:`_Dialed`
-    protocol.  Once the transport reports it is over its high-water mark
-    (``pause_writing``), *data* frames stop being enqueued entirely --
-    they are already held by ``unacked`` -- and ``resume_writing`` replays
-    the skipped tail (the receiver's watermark absorbs any overlap).
-    Gossip frames are best-effort and are simply shed under pressure.
-    FIFO order is preserved: ``_pending`` keeps append order and only
-    ``release`` writes.
+    Commit barrier: frames surviving chaos are *held* in ``_pending``
+    (their state change is not on disk yet) until the server's commit
+    takes them (:meth:`detach`) and, once durable, writes them in one
+    ``transport.write`` (:meth:`release`).  Acks, fence responses and flow
+    control come back through the connection's :class:`_Dialed` protocol:
+    while it is paused, data frames are not enqueued at all (``unacked``
+    holds them; the resume replays the skipped tail) and gossip is shed.
+    FIFO order holds: ``_pending`` keeps append order, only ``release``
+    writes.
     """
 
     def __init__(self, server: "AsyncioServer", peer_id: int):
@@ -622,7 +664,6 @@ class _PeerChannel:
         #: the dial loop: connect, then wait for the connection to close
         self.task: asyncio.Task | None = None
         self._rexmit_task: asyncio.Task | None = None
-        self._stopped = False
         #: frames held behind the commit barrier (not yet durable)
         self._pending: list[tuple] = []
         #: the transport is over its high-water mark
@@ -739,35 +780,16 @@ class _PeerChannel:
             self._pending[:0] = frames
 
     def start(self) -> None:
-        self.task = asyncio.ensure_future(self._run())
+        self.task = asyncio.ensure_future(_redial(
+            lambda: (partial(_Dialed, self), *self.server.peers[self.peer_id]),
+            self._connected,
+        ))
         if self.server.chaos is not None:
             self._rexmit_task = asyncio.ensure_future(self._retransmit_loop())
 
-    async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
-        while not self._stopped:
-            try:
-                host, port = self.server.peers[self.peer_id]
-                transport, conn = await loop.create_connection(
-                    partial(_Dialed, self), host, port
-                )
-            except _CONN_ERRORS:
-                pass
-            else:
-                try:
-                    self._connected(transport)
-                    await conn.closed
-                finally:
-                    # also covers a connection lost before ``_connected``
-                    if self.transport is transport:
-                        self.transport = None
-                    transport.close()
-            if not self._stopped:
-                await asyncio.sleep(RECONNECT_DELAY)
-
-    def _connected(self, transport) -> None:
+    def _connected(self, conn: "_Dialed") -> None:
         """Say hello on a fresh connection and replay the unacked tail."""
-        s = self.server
+        s, transport = self.server, conn.transport
         hello = ("hp", s.node_id, self.acked, s.core.cfg_epoch, self.seq)
         s._write_frame(transport, hello)
         # frames queued for the dead connection are stale; the replay
@@ -787,7 +809,7 @@ class _PeerChannel:
         connection; without this loop a dropped frame would stall its
         channel forever.
         """
-        while not self._stopped:
+        while True:
             await asyncio.sleep(RETRANSMIT_INTERVAL)
             if self.transport is not None:
                 self._retransmit_pass(asyncio.get_running_loop().time())
@@ -824,7 +846,6 @@ class _PeerChannel:
             transport.close()
 
     async def stop(self) -> None:
-        self._stopped = True
         for task in (self.task, self._rexmit_task):
             await _reap(
                 task,
@@ -843,9 +864,8 @@ class _Dialed(_Framed):
 
     def __init__(self, channel: _PeerChannel):
         super().__init__(channel.server)
+        self.server = channel.server
         self.channel = channel
-        #: resolved by ``connection_lost``; the dial loop waits on it
-        self.closed = asyncio.get_running_loop().create_future()
 
     def frame_received(self, frame) -> None:
         kind = _kind(frame)
@@ -879,8 +899,7 @@ class _Dialed(_Framed):
     def connection_lost(self, exc) -> None:
         if self.channel.transport is self.transport:
             self.channel.transport = None
-        if not self.closed.done():
-            self.closed.set_result(None)
+        super().connection_lost(exc)
 
 
 class _Inbound(_Framed):
@@ -893,6 +912,7 @@ class _Inbound(_Framed):
 
     def __init__(self, server: "AsyncioServer"):
         super().__init__(server)
+        self.server = server
         #: the incarnation that accepted the connection
         self.epoch = server._epoch
         #: the dialling peer's or client's id, once the hello is in
@@ -913,6 +933,7 @@ class _Inbound(_Framed):
         s._inbound.discard(self)
         if self.src is not None and s._clients.get(self.src) is self.transport:
             del s._clients[self.src]
+        super().connection_lost(exc)
 
 
 class _ChannelStateView:
@@ -960,10 +981,11 @@ class AsyncioServer:
       it) and whose suspect/alive transitions land in ``detector_log``;
     * ``audit_addr`` -- address of an :class:`~repro.runtime.auditor
       .OnlineAuditor`; decision-log entries are then mirrored as
-      :class:`~repro.consistency.online.AuditOp` records and streamed to
-      it.  The record list models an append-only log file: it survives
-      :meth:`kill` (unlike volatile protocol state) and the stream replays
-      it in full after every reconnect, the auditor deduplicates.
+      :class:`~repro.consistency.online.AuditOp` records and pushed to it
+      as each commit makes them durable.  The record list models an
+      append-only log file: it survives :meth:`kill` (unlike volatile
+      protocol state) and the stream replays it in full after every
+      reconnect, the auditor deduplicates.
     """
 
     def __init__(
@@ -1061,6 +1083,8 @@ class AsyncioServer:
         #: sends no further, and a crash truncates the log back to here
         self._audit_durable = 0
         self._audit_task: asyncio.Task | None = None
+        #: the audit stream's latest connection; pushed to while open
+        self._audit: _AuditStream | None = None
         #: audit identity (sharded clusters): ``audit_node`` must be
         #: globally unique across shards (seq dedup at the auditor is per
         #: server id); ``audit_shard`` scopes this group's tags;
@@ -1105,7 +1129,10 @@ class AsyncioServer:
         if self.scrub is not None:
             self.interpret(self.scrub.boot(self.now()))
         if self.audit_addr is not None:
-            self._audit_task = asyncio.ensure_future(self._audit_loop())
+            self._audit_task = asyncio.ensure_future(_redial(
+                lambda: (partial(_AuditStream, self), *self.audit_addr),
+                _AuditStream.attach,
+            ))
 
     async def _start_listener(self) -> None:
         self._listener = await self._loop.create_server(
@@ -1145,10 +1172,7 @@ class AsyncioServer:
         for handle in self._timers.values():
             handle.cancel()
         self._timers.clear()
-        await _reap(
-            self._audit_task, "server %d audit stream failed during kill",
-            self.node_id,
-        )
+        await _reap(self._audit_task, "server %d audit stream failed", self.node_id)
         self._audit_task = None
         for ch in self._channels.values():
             await ch.stop()
@@ -1570,13 +1594,9 @@ class AsyncioServer:
         """Group commit, pipelined: snapshot here, disk on a thread,
         release in ``_disk_done``.
 
-        The invariant: no byte that reveals a state change, or
-        acknowledges a delivered frame, leaves the process before a
-        checkpoint containing that state *and* that receive watermark has
-        been renamed into place and the directory fsynced.  Client
-        replies, cumulative acks, peer data frames, gossip, replays and
-        retransmits all queue behind a commit; audit records become
-        streamable there too.
+        The invariant is the module docstring's output barrier: client
+        replies, acks, peer data frames, gossip, replays and retransmits
+        all wait for a commit, and audit records are pushed when it lands.
 
         This callback is the *snapshot*: it encodes the checkpoint from
         the live objects (zero-copy, so the capture must not outlive the
@@ -1600,7 +1620,7 @@ class AsyncioServer:
             self._dirty = False
         batch = self._detach_held()
         if disk is None:
-            self._audit_durable = batch.audit
+            self._audit_landed(batch.audit)
             self._release(batch)
             return
         write, landed = disk
@@ -1634,7 +1654,7 @@ class AsyncioServer:
             # whoever is alive now, the file is that checkpoint -- and the
             # audit records of the events in it are as durable as they are
             landed()
-            self._audit_durable = batch.audit
+            self._audit_landed(batch.audit)
         if epoch != self._epoch:
             return  # crashed with the write in flight: nobody sees the batch
         if exc is not None:
@@ -1742,29 +1762,49 @@ class AsyncioServer:
             )
         )
 
-    async def _audit_loop(self) -> None:
-        """Stream the audit log to the auditor; replay it all on reconnect."""
-        while not self.halted:
-            writer = None
-            try:
-                reader, writer = await asyncio.open_connection(*self.audit_addr)
-                writer.write(wire.encode_frame(("ha", self.audit_node)))
-                sent = 0
-                while True:
-                    while sent < self._audit_durable:
-                        writer.write(
-                            wire.encode_frame(("r", self._audit_log[sent]))
-                        )
-                        sent += 1
-                    await writer.drain()
-                    await asyncio.sleep(AUDIT_POLL)
-            except _CONN_ERRORS:
-                pass
-            finally:
-                if writer is not None:
-                    writer.close()
-            if not self.halted:
-                await asyncio.sleep(RECONNECT_DELAY)
+    def _audit_landed(self, durable: int) -> None:
+        """The first ``durable`` audit records are on disk: push them."""
+        self._audit_durable = durable
+        if self._audit is not None:
+            self._audit.push()
+
+
+
+class _AuditStream(_Framed):
+    """A server's connection to its auditor.  Records go out when the
+    commit that makes them durable lands, one write per commit; the
+    auditor never answers, so any frame from it closes the connection."""
+
+    def __init__(self, server: AsyncioServer):
+        super().__init__(server)
+        self.server = server
+        #: records of the log already written on this connection
+        self.sent = 0
+        self._paused = False
+
+    def attach(self) -> None:
+        """Say hello and replay the durable log; the auditor dedups."""
+        self.transport.write(wire.encode_frame(("ha", self.server.audit_node)))
+        self.server._audit = self
+        self.push()
+
+    def frame_received(self, frame) -> None:
+        self.transport.close()
+
+    def push(self) -> None:
+        """Write every durable record not yet sent on this connection."""
+        s = self.server
+        records = s._audit_log[self.sent : s._audit_durable]
+        if records and not self._paused and not self.transport.is_closing():
+            self.sent = s._audit_durable
+            self.transport.write(wire.encode_frames([("r", r) for r in records]))
+
+    def pause_writing(self) -> None:
+        self._paused = True
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        self.push()
 
 
 class AsyncioClient:
@@ -1774,6 +1814,7 @@ class AsyncioClient:
     fails over (:class:`~repro.protocol.effects.HomeServerSwitchEffect`)
     the client force-closes its connection and the dial loop redials the
     *new* home server's address.  Switches are recorded in ``switch_log``.
+    A reply of the wrong shape closes the connection, which redials.
     """
 
     def __init__(
@@ -1788,7 +1829,10 @@ class AsyncioClient:
         self._addr = server_addr
         self._addresses = dict(addresses or {})
         self._on_settled = on_settled
-        self._writer: asyncio.StreamWriter | None = None
+        #: the latest connection; requests go out while it is open
+        self._conn: _ClientConn | None = None
+        #: resolved by the first connection
+        self._up: asyncio.Future | None = None
         self._timers: dict[tuple, asyncio.TimerHandle] = {}
         self._settled: asyncio.Future | None = None
         self._task: asyncio.Task | None = None
@@ -1804,57 +1848,32 @@ class AsyncioClient:
     def _now(self) -> float:
         return _now_ms(self._loop)
 
-    def _home_addr(self) -> tuple[str, int]:
-        return self._addresses.get(self.core.server_id, self._addr)
-
     async def start(self) -> None:
+        """Dial the home server; a typed :class:`HomeServerUnavailable`
+        (``attempts=0``) if no connection is up in ``CLIENT_START_TIMEOUT``."""
         self._loop = asyncio.get_running_loop()
-        start = self._loop.time()
-        self._task = asyncio.ensure_future(self._run())
-        for _ in range(200):  # wait for the first connection
-            if self._writer is not None:
-                return
-            await asyncio.sleep(0.01)
-        # typed, like every other unavailability surfaced by the client path
-        raise HomeServerUnavailable(
-            None,
-            self.core.server_id,
-            attempts=0,
-            waited=(self._loop.time() - start) * 1000.0,
-        )
+        self._up = self._loop.create_future()
+        self._task = asyncio.ensure_future(_redial(self._target, self._connected))
+        await asyncio.wait({self._up}, timeout=CLIENT_START_TIMEOUT)
+        if not self._up.done():
+            raise HomeServerUnavailable(
+                None, self.core.server_id, 0, CLIENT_START_TIMEOUT * 1000.0
+            )
 
-    async def _run(self) -> None:
-        while not self._closed:
-            writer = None
-            server_id = self.core.server_id
-            try:
-                reader, writer = await asyncio.open_connection(
-                    *self._home_addr()
-                )
-                writer.write(wire.encode_frame(("hc", self.node_id)))
-                await writer.drain()
-                self._writer = writer
-                while True:
-                    try:
-                        payload = await read_frame(reader)
-                    except wire.FrameCorrupt:
-                        # corrupt reply: drop it, the retry timer re-asks
-                        self.frames_corrupt += 1
-                        continue
-                    if payload[0] == "m":
-                        self.interpret(
-                            self.core.handle_message(
-                                server_id, payload[1], self._now()
-                            )
-                        )
-            except _CONN_ERRORS:
-                pass
-            finally:
-                self._writer = None
-                if writer is not None:
-                    writer.close()
-            if not self._closed:
-                await asyncio.sleep(RECONNECT_DELAY)
+    def _target(self) -> tuple:
+        server_id = self.core.server_id
+        addr = self._addresses.get(server_id, self._addr)
+        return partial(_ClientConn, self, server_id), *addr
+
+    def _connected(self, conn: "_ClientConn") -> None:
+        if conn.server_id != self.core.server_id:
+            # the core switched home servers while this one was dialled
+            conn.transport.close()
+            return
+        conn.transport.write(wire.encode_frame(("hc", self.node_id)))
+        self._conn = conn
+        if not self._up.done():
+            self._up.set_result(None)
 
     def notify_home_suspected(self, peer: int) -> None:
         """Failure-detector hint: the client's home server looks dead.
@@ -1869,6 +1888,7 @@ class AsyncioClient:
 
     async def close(self) -> None:
         self._closed = True
+        self._conn = None
         await _reap(
             self._task, "client %d dial loop failed during close", self.node_id
         )
@@ -1904,13 +1924,10 @@ class AsyncioClient:
         for e in effects:
             cls = type(e)
             if cls is SendEffect:
-                if self._writer is not None:
-                    try:
-                        self._writer.write(wire.encode_frame(("m", e.msg)))
-                    except _CONN_ERRORS:  # pragma: no cover
-                        pass
-                    else:
-                        self.frames_sent += 1
+                conn = self._conn
+                if conn is not None and not conn.transport.is_closing():
+                    conn.transport.write(wire.encode_frame(("m", e.msg)))
+                    self.frames_sent += 1
                 # else: disconnected; the retry timer re-sends
             elif cls is SetTimerEffect:
                 handle = self._loop.call_later(
@@ -1930,12 +1947,11 @@ class AsyncioClient:
                 self.switch_log.append((e.old, e.new, e.opid))
                 # force the dial loop off the old connection; it redials
                 # the new home server's address.  The SendEffect that may
-                # follow finds no writer yet -- the retry timer re-sends
-                # once the new connection is up.
-                writer = self._writer
-                self._writer = None
-                if writer is not None:
-                    writer.close()
+                # follow finds no connection yet -- the retry timer
+                # re-sends once the new connection is up.
+                conn, self._conn = self._conn, None
+                if conn is not None:
+                    conn.transport.close()
             else:
                 raise TypeError(f"unknown effect {e!r}")
 
@@ -1943,6 +1959,23 @@ class AsyncioClient:
         self._timers.pop(timer_id, None)
         if not self._closed:
             self.interpret(self.core.handle_timer(timer_id, self._now()))
+
+
+class _ClientConn(_Framed):
+    """A client's connection: replies in, attributed to the server it was
+    dialled to; a frame of the wrong shape closes it."""
+
+    def __init__(self, client: AsyncioClient, server_id: int):
+        super().__init__(client)
+        self.client = client
+        self.server_id = server_id
+
+    def frame_received(self, frame) -> None:
+        if _kind(frame) == "m" and len(frame) == 2:
+            c = self.client
+            c.interpret(c.core.handle_message(self.server_id, frame[1], c._now()))
+        else:
+            self.transport.close()
 
 
 class AsyncioCluster:
@@ -2058,15 +2091,15 @@ class AsyncioCluster:
         """Aggregate wire-frame counters across servers and clients.
 
         ``frames_sent`` counts frames put on a socket, ``flushes`` counts
-        ``transport.write`` calls (a client's stream write is one frame);
-        frames/flushes is the per-commit coalescing factor.
+        ``transport.write`` calls (a client writes one request frame per
+        call); frames/flushes is the per-commit coalescing factor.  Hellos
+        of clients and audit-stream frames are not counted.
         """
-        frames = sum(s.frames_sent for s in self.servers)
-        flushes = sum(s.flushes for s in self.servers)
-        for c in self.clients:
-            frames += c.frames_sent
-            flushes += c.frames_sent  # clients write one frame at a time
-        return {"frames_sent": frames, "flushes": flushes}
+        requests = sum(c.frames_sent for c in self.clients)
+        return {
+            "frames_sent": sum(s.frames_sent for s in self.servers) + requests,
+            "flushes": sum(s.flushes for s in self.servers) + requests,
+        }
 
     def repair_stats(self) -> dict[str, float]:
         """Aggregate anti-entropy counters across servers (zeros if off)."""
@@ -2234,25 +2267,12 @@ class AsyncioCluster:
             s.connect_peers()
 
     async def _reconfig_rpc(self, server: AsyncioServer, msg, timeout: float = 5.0):
-        """One membership control request/reply on a short-lived connection.
-
-        Control frames ride the client path (hello ``("hc", id)``), which
-        is never epoch-fenced -- a behind server must always be reachable
-        for catch-up.  Control ids live far above any client id.
-        """
+        """One membership control request/reply (:func:`_control_rpc`).
+        Control ids live far above any client id."""
         self._ctrl_seq += 1
-        ctrl_id = 1_000_000 + self._ctrl_seq
-        reader, writer = await asyncio.open_connection(server.host, server.port)
-        try:
-            writer.write(wire.encode_frame(("hc", ctrl_id)))
-            writer.write(wire.encode_frame(("m", msg)))
-            await writer.drain()
-            reply = await asyncio.wait_for(read_frame(reader), timeout)
-            if reply[0] != "m":
-                raise wire.WireError(f"unexpected control reply {reply[0]!r}")
-            return reply[1]
-        finally:
-            writer.close()
+        return await _control_rpc(
+            server.host, server.port, 1_000_000 + self._ctrl_seq, msg, timeout
+        )
 
     async def _commit_membership(
         self,
@@ -2393,7 +2413,7 @@ class AsyncioCluster:
             if not victim.halted:
                 try:
                     await self._reconfig_rpc(victim, commit)
-                except (*_CONN_ERRORS, asyncio.TimeoutError):
+                except (OSError, asyncio.TimeoutError):
                     pass  # it is being removed; fencing handles the rest
                 await victim.kill(forever=True)
             self.retired.add(i)
@@ -2413,40 +2433,25 @@ class AsyncioCluster:
         (matching :class:`~repro.runtime.chaos_rt.LiveFaultInjector`).
         """
         loop = asyncio.get_running_loop()
+        spawn = asyncio.ensure_future
 
-        def _later(at_ms: float, coro_or_fn, *args, is_coro: bool):
-            def fire():
-                if is_coro:
-                    asyncio.ensure_future(coro_or_fn(*args))
-                else:
-                    coro_or_fn(*args)
-
-            self._fault_handles.append(
-                loop.call_later(at_ms * time_scale / 1000.0, fire)
-            )
-
-        for at, server in plan.halts:
-            _later(at, self.kill_server, server, is_coro=True)
-        for at, server in getattr(plan, "kill_forevers", ()):
-            _later(at, self.kill_server, server, True, is_coro=True)
-        for at, server in plan.restarts:
-            _later(at, self.restart_server, server, is_coro=True)
-        for at, server in plan.resets:
-            _later(at, self.reset_server, server, is_coro=False)
-
-        def _rot_memory(i: int) -> None:
+        def rot_memory(i: int) -> None:
             if not self.servers[i].halted:
                 self.servers[i].core.corrupt_codeword(seed=plan.rot_seed)
 
-        for at, server in getattr(plan, "rots", ()):
-            _later(at, _rot_memory, server, is_coro=False)
-        def _rot_disk(i: int) -> None:
-            self.store.corrupt_file(i, seed=plan.rot_seed)
-
-        for at, server in getattr(plan, "disk_rots", ()):
-            _later(at, _rot_disk, server, is_coro=False)
-        for at, server in getattr(plan, "torn_writes", ()):
-            _later(at, self.store.truncate_file, server, is_coro=False)
+        for entries, fire in (
+            (plan.halts, lambda i: spawn(self.kill_server(i))),
+            (plan.kill_forevers, lambda i: spawn(self.kill_server(i, True))),
+            (plan.restarts, lambda i: spawn(self.restart_server(i))),
+            (plan.resets, self.reset_server),
+            (plan.rots, rot_memory),
+            (plan.disk_rots, lambda i: self.store.corrupt_file(i, plan.rot_seed)),
+            (plan.torn_writes, self.store.truncate_file),
+        ):
+            for at, server in entries:
+                self._fault_handles.append(
+                    loop.call_later(at * time_scale / 1000.0, fire, server)
+                )
 
     async def quiesce(
         self, idle_rounds: int = 4, poll: float = 0.03, timeout: float = 30.0
@@ -2482,13 +2487,7 @@ class AsyncioCluster:
             handle.cancel()
         self._fault_handles.clear()
         for task in self._replace_tasks:
-            if not task.done():
-                task.cancel()
-        for task in self._replace_tasks:
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
+            await _reap(task, "auto-replace failed during shutdown")
         self._replace_tasks.clear()
         for client in self.clients:
             await client.close()

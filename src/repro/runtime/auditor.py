@@ -9,13 +9,17 @@ violations *while the cluster runs* -- the live counterpart of running the
 offline bad-pattern checker after the fact.
 
 Wire format: a server dials the auditor, sends a hello frame
-``("ha", server_id)``, then any number of ``("r", AuditOp)`` frames.
-Servers replay their **entire** log after every (re)connect -- the simple
-strategy that needs no resume negotiation -- and the checker deduplicates
-by ``(server, seq)``, so replays are free.  A server killed mid-stream
-reconnects after restart and replays; nothing is lost as long as the
-server eventually comes back, and reads referencing a never-returning
-server's writes are reported by ``finalize()`` as thin-air reads.
+``("ha", server_id)``, then any number of ``("r", AuditOp)`` frames, each
+pushed when the commit that makes it durable lands.  Servers replay their
+**entire** log after every (re)connect -- the simple strategy that needs
+no resume negotiation -- and the checker deduplicates by ``(server,
+seq)``, so replays are free.  The stream has no ARQ, so a record failing
+its frame CRC closes the connection rather than being skipped: the
+reconnect replays it.  A hello or record of the wrong shape closes the
+connection too.  A server killed mid-stream reconnects after restart and
+replays; nothing is lost as long as the server eventually comes back, and
+reads referencing a never-returning server's writes are reported by
+``finalize()`` as thin-air reads.
 
 The auditor is an observer: it never sends anything back, and the cluster
 functions identically without one.
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from functools import partial
 from pathlib import Path
 
 from ..consistency.online import (
@@ -32,10 +37,36 @@ from ..consistency.online import (
     AuditViolation,
     IncrementalCausalChecker,
 )
-from . import wire
-from .asyncio_rt import _CONN_ERRORS, read_frame
+from .asyncio_rt import _Framed, _kind
 
 __all__ = ["OnlineAuditor"]
+
+
+class _AuditSink(_Framed):
+    """One server's audit stream: a hello, then records."""
+
+    def __init__(self, auditor: "OnlineAuditor"):
+        super().__init__(auditor)
+        self.auditor = auditor
+        self.greeted = False
+
+    def frame_received(self, frame) -> None:
+        a, kind = self.auditor, _kind(frame)
+        if not self.greeted:
+            if kind == "ha" and len(frame) == 2 and type(frame[1]) is int:
+                self.greeted = True
+                a.connections += 1
+                return
+        elif kind == "r" and len(frame) == 2 and isinstance(frame[1], AuditOp):
+            a.records_received += 1
+            a.checker.ingest(frame[1])
+            return
+        self.transport.close()
+
+    def frame_corrupt(self) -> None:
+        # skipping would lose the record for good; the replay after the
+        # reconnect delivers it again
+        self.transport.close()
 
 
 class OnlineAuditor:
@@ -60,32 +91,10 @@ class OnlineAuditor:
         return (self.host, self.port)
 
     async def start(self) -> None:
-        self._listener = await asyncio.start_server(
-            self._on_connection, self.host, self.port
+        self._listener = await asyncio.get_running_loop().create_server(
+            partial(_AuditSink, self), self.host, self.port
         )
         self.port = self._listener.sockets[0].getsockname()[1]
-
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            hello = await read_frame(reader)
-            if hello[0] != "ha":
-                return
-            self.connections += 1
-            while True:
-                payload = await read_frame(reader)
-                if payload[0] != "r":
-                    continue
-                record = payload[1]
-                if not isinstance(record, AuditOp):
-                    raise wire.WireError(f"expected AuditOp, got {record!r}")
-                self.records_received += 1
-                self.checker.ingest(record)
-        except _CONN_ERRORS:
-            pass
-        finally:
-            writer.close()
 
     def finalize(self) -> list[AuditViolation]:
         """End-of-run verdict: full sweep plus thin-air-read detection."""

@@ -49,8 +49,7 @@ from ..protocol.client_core import RetryPolicy
 from ..sharding.codes import default_shard_code
 from ..sharding.router import ShardRouter
 from ..sharding.view import ViewChange, plan_view_change
-from . import wire
-from .asyncio_rt import _CONN_ERRORS, AsyncioCluster, read_frame
+from .asyncio_rt import AsyncioCluster, _control_rpc
 from .auditor import OnlineAuditor
 
 __all__ = ["ShardedAsyncioCluster", "ShardedSession"]
@@ -330,25 +329,15 @@ class ShardedAsyncioCluster:
         for _ in range(3):
             ctrl_id = self._next_ctrl_id
             self._next_ctrl_id += 1
-            writer = None
             try:
-                reader, writer = await asyncio.open_connection(
-                    srv.host, srv.port
+                reply = await _control_rpc(
+                    srv.host, srv.port, ctrl_id, ViewInstall(version), 2.0
                 )
-                # a control connection is just a client connection that
-                # sends one message and waits for its ack
-                writer.write(wire.encode_frame(("hc", ctrl_id)))
-                writer.write(wire.encode_frame(("m", ViewInstall(version))))
-                await writer.drain()
-                while True:
-                    frame = await asyncio.wait_for(read_frame(reader), 2.0)
-                    if frame[0] == "m" and isinstance(frame[1], ViewInstallAck):
-                        return True
-            except (*_CONN_ERRORS, asyncio.TimeoutError):
-                await asyncio.sleep(0.05)
-            finally:
-                if writer is not None:
-                    writer.close()
+                if isinstance(reply, ViewInstallAck):
+                    return True
+            except (OSError, asyncio.TimeoutError):
+                pass
+            await asyncio.sleep(0.05)
         return False  # the epoch still gossips on every request's view field
 
 

@@ -9,6 +9,7 @@ read path switches servers and completes.
 from __future__ import annotations
 
 import asyncio
+import socket
 
 import numpy as np
 
@@ -29,7 +30,11 @@ from repro.protocol.effects import (
 )
 from repro.protocol.failure_detector import FailureDetectorConfig
 from repro.protocol.server_core import ServerCore
-from repro.runtime.asyncio_rt import AsyncioCluster
+from repro.runtime.asyncio_rt import (
+    CLIENT_START_TIMEOUT,
+    AsyncioClient,
+    AsyncioCluster,
+)
 
 QUICK = RetryPolicy(timeout=10.0, backoff=1.0, max_retries=1)
 
@@ -278,3 +283,29 @@ async def _live_failover(code):
 
 def test_live_detector_drives_client_failover():
     asyncio.run(_live_failover(example1_code()))
+
+
+def test_client_start_with_no_listener_fails_typed_after_the_budget():
+    async def run():
+        # a port nobody listens on: bound once, then released
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        client = AsyncioClient(ClientCore(5, 0), ("127.0.0.1", port))
+        loop = asyncio.get_running_loop()
+        began = loop.time()
+        try:
+            await client.start()
+        except HomeServerUnavailable as exc:
+            error = exc
+        else:
+            error = None
+        waited = loop.time() - began
+        await client.close()
+        return error, waited
+
+    error, waited = asyncio.run(run())
+    assert isinstance(error, HomeServerUnavailable)
+    assert error.attempts == 0 and error.server_id == 0
+    assert CLIENT_START_TIMEOUT - 0.05 <= waited < CLIENT_START_TIMEOUT + 1.0

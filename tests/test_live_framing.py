@@ -12,21 +12,37 @@ whose ``data_received`` splits the byte stream into frames
   ``wire.MAX_FRAME_BYTES`` closes the connection;
 * **malformed input** -- a hello or frame of the wrong shape closes the
   connection without reaching the loop's exception handler, and the
-  cluster goes on serving;
+  cluster goes on serving; a client closes a connection that sends it a
+  malformed reply and redials;
+* **one-shot and push connections** -- a control RPC takes the first
+  well-formed reply; the audit stream writes what is durable and holds
+  records while its transport is paused;
 * **no task per connection** -- a running cluster has one task per peer
-  channel (its dial loop) and one per client, and no reader or flusher
-  tasks.
+  channel, client and audit stream, each the one dial loop, and no
+  reader, flusher or poller tasks.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 
 import numpy as np
 
+from repro.consistency.online import AuditOp
 from repro.ec.codes import example1_code
+from repro.protocol.client_core import ClientCore, RetryPolicy
 from repro.runtime import wire
-from repro.runtime.asyncio_rt import AsyncioCluster, _Framed
+from repro.runtime.asyncio_rt import (
+    AsyncioClient,
+    AsyncioCluster,
+    _AuditStream,
+    _Framed,
+    _Reply,
+)
+from repro.runtime.auditor import OnlineAuditor
+
+from tests.test_live_batching import _frames
 
 
 class _Transport:
@@ -42,6 +58,20 @@ class _Transport:
 
 class _Counter:
     frames_corrupt = 0
+
+
+def _in_loop(test):
+    """Run a synchronous test inside a running loop: a protocol binds its
+    ``closed`` future to the loop that creates it."""
+
+    @functools.wraps(test)
+    def run():
+        async def body():
+            test()
+
+        asyncio.run(body())
+
+    return run
 
 
 class _Recorder(_Framed):
@@ -66,10 +96,20 @@ _SAMPLE = [
 ]
 
 
+class _Sink(_Transport):
+    def __init__(self):
+        super().__init__()
+        self.writes: list[bytes] = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+
+
 def _same(got: list, want: list) -> bool:
     return wire.encode_frames(got) == wire.encode_frames(want)
 
 
+@_in_loop
 def test_a_stream_split_at_every_byte_offset_delivers_the_same_frames():
     stream = wire.encode_frames(_SAMPLE)
     for cut in range(len(stream) + 1):
@@ -86,6 +126,7 @@ def test_a_stream_split_at_every_byte_offset_delivers_the_same_frames():
     assert rec.frames[3][2].tolist() == list(range(7))
 
 
+@_in_loop
 def test_a_damaged_frame_is_skipped_and_counted_between_good_ones():
     damaged = bytearray(wire.encode_frame(("d", 2, "rotten")))
     damaged[-1] ^= 0x10  # inside the CRC-covered body
@@ -99,10 +140,11 @@ def test_a_damaged_frame_is_skipped_and_counted_between_good_ones():
         rec.data_received(stream[:cut])
         rec.data_received(stream[cut:])
         assert rec.frames == [("d", 1, "before"), ("d", 3, "after")], cut
-        assert rec.server.frames_corrupt == 1
+        assert rec.owner.frames_corrupt == 1
         assert not rec.transport.closed
 
 
+@_in_loop
 def test_an_oversize_length_prefix_closes_the_connection():
     rec = _Recorder()
     good = wire.encode_frame(("d", 1, "ok"))
@@ -116,6 +158,52 @@ def test_an_oversize_length_prefix_closes_the_connection():
     alien[4] = wire.WIRE_VERSION + 1
     rec.data_received(bytes(alien) + good)
     assert rec.frames == [] and rec.transport.closed
+
+
+@_in_loop
+def test_a_control_reply_is_the_first_well_formed_one():
+    conn = _Reply(None)
+    conn.connection_made(_Transport())
+    damaged = bytearray(wire.encode_frame(("m", "rotten")))
+    damaged[-1] ^= 0x10
+    conn.data_received(
+        bytes(damaged)
+        + wire.encode_frames([("q",), ("m",), ("m", "ok"), ("m", "late")])
+    )
+    assert conn.reply == ("m", "ok") and conn.transport.closed
+
+
+class _AuditLog:
+    """What an audit stream reads of its server."""
+
+    audit_node = 3
+    frames_corrupt = 0
+
+    def __init__(self, records):
+        self._audit_log = records
+        self._audit_durable = 1
+        self._audit = None
+
+
+@_in_loop
+def test_the_audit_stream_pushes_durable_records_and_holds_them_while_paused():
+    records = [AuditOp(3, k, "apply", 0, ((k,), 0)) for k in (1, 2, 3)]
+    log = _AuditLog(records)
+    conn = _AuditStream(log)
+    sink = _Sink()
+    conn.connection_made(sink)
+    conn.attach()  # hello, then the durable prefix of the log
+    assert log._audit is conn
+    assert _same(_frames(sink.writes), [("ha", 3), ("r", records[0])])
+    conn.pause_writing()
+    log._audit_durable = 3
+    conn.push()  # over the high-water mark: the records wait in the log
+    assert len(sink.writes) == 2
+    conn.resume_writing()
+    assert _same(_frames(sink.writes[2:]), [("r", r) for r in records[1:]])
+    # the auditor never speaks: anything it sends closes the connection
+    conn.frame_received(("x",))
+    assert sink.closed
 
 
 async def _rejected(server, *frames) -> bool:
@@ -164,8 +252,14 @@ def test_malformed_hellos_and_frames_close_the_connection_quietly():
 def test_a_cluster_runs_one_task_per_peer_channel_and_client():
     code = example1_code()
 
-    async def run():
-        cluster = AsyncioCluster(code)
+    async def run(audit: bool):
+        auditor = None
+        if audit:
+            auditor = OnlineAuditor()
+            await auditor.start()
+        cluster = AsyncioCluster(
+            code, audit_addr=None if auditor is None else auditor.address
+        )
         await cluster.start()
         clients = [await cluster.add_client(i) for i in range(2)]
         op = await clients[0].write(0, cluster.value(3))
@@ -177,12 +271,71 @@ def test_a_cluster_runs_one_task_per_peer_channel_and_client():
         ]
         channels = sum(len(s._channels) for s in cluster.servers)
         await cluster.shutdown()
+        if auditor is not None:
+            await auditor.close()
         return names, channels
 
-    names, channels = asyncio.run(run())
-    assert channels == 20
-    assert not [n for n in names if "_flush_loop" in n or "_on_connection" in n]
-    assert names.count("_PeerChannel._run") == channels
-    assert names.count("AsyncioClient._run") == 2
-    assert len(names) <= channels + 2  # 64 with a reader task per connection
+    for audit, extra in ((False, 0), (True, code.N)):
+        names, channels = asyncio.run(run(audit))
+        assert channels == 20
+        # one dial loop per peer channel, per client and per audit stream,
+        # and nothing else: no reader, flusher or poller tasks
+        assert names == ["_redial"] * (channels + 2 + extra), audit
 
+
+def test_a_malformed_reply_makes_the_client_redial_not_die():
+    code = example1_code()
+
+    async def run():
+        cluster = AsyncioCluster(code)
+        await cluster.start()
+        server = cluster.servers[0]
+        streams, pipes = [], []
+
+        async def pipe(reader, writer):
+            try:
+                while data := await reader.read(65536):
+                    writer.write(data)
+                    await writer.drain()
+            except OSError:
+                pass
+            finally:
+                writer.close()
+
+        async def rogue(reader, writer):
+            # 1st connection: a reply that is not a tuple; 2nd: an ``m``
+            # frame without its message; from the 3rd on: the real server
+            streams.append(writer)
+            if len(streams) <= 2:
+                writer.write(wire.encode_frame((7, ("m",))[len(streams) - 1]))
+                return
+            up_reader, up_writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            streams.append(up_writer)
+            pipes.append(asyncio.ensure_future(pipe(reader, up_writer)))
+            pipes.append(asyncio.ensure_future(pipe(up_reader, writer)))
+
+        listener = await asyncio.start_server(rogue, "127.0.0.1", 0)
+        port = listener.sockets[0].getsockname()[1]
+        retry = RetryPolicy(timeout=100.0, backoff=1.0, max_retries=20)
+        client = AsyncioClient(
+            ClientCore(99, 0, history=cluster.history, retry=retry),
+            ("127.0.0.1", port),
+        )
+        await client.start()
+        write = await asyncio.wait_for(client.write(0, cluster.value(4)), 10.0)
+        read = await asyncio.wait_for(client.read(0), 10.0)
+        await client.close()
+        listener.close()
+        for writer in streams:
+            writer.close()
+        await asyncio.gather(*pipes)
+        value = cluster.value(4)
+        await cluster.shutdown()
+        return len(streams), write, read, value
+
+    dialled, write, read, value = asyncio.run(run())
+    assert not write.failed and not read.failed
+    assert np.array_equal(read.value, value)
+    assert dialled >= 4  # two rejected connections, then a proxied one

@@ -302,3 +302,109 @@ def test_checker_rejects_unknown_kind():
     checker = IncrementalCausalChecker()
     with pytest.raises(ValueError):
         checker.ingest(AuditOp(0, 1, "frobnicate", 0, _tag(1, 1)))
+
+
+async def _closed_by_auditor(auditor, frames) -> bool:
+    """Send ``frames`` on a fresh connection; whether the auditor closed it."""
+    reader, writer = await asyncio.open_connection(*auditor.address)
+    try:
+        writer.write(wire.encode_frames(frames))
+        await writer.drain()
+        return await asyncio.wait_for(reader.read(), 5.0) == b""
+    finally:
+        writer.close()
+
+
+def test_a_malformed_hello_or_record_closes_the_stream_quietly():
+    s = _Seq()
+    t1 = _tag(7, 1, 0)
+    good = [_w(s, 0, 0, t1, (7, 0)), _r(s, 0, 0, t1, (7, 1))]
+
+    async def run():
+        reported = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, ctx: reported.append(ctx)
+        )
+        auditor = OnlineAuditor()
+        await auditor.start()
+        for frames in (
+            [7],
+            [("ha",)],
+            [("ha", "x")],
+            [("ha", 0), 7],
+            [("ha", 0), ("r",)],
+            [("ha", 0), ("r", "not a record")],
+        ):
+            assert await _closed_by_auditor(auditor, frames), frames
+        # a following good stream is still ingested
+        _, writer = await asyncio.open_connection(*auditor.address)
+        writer.write(wire.encode_frames([("ha", 0)] + [("r", r) for r in good]))
+        await writer.drain()
+        deadline = asyncio.get_running_loop().time() + 5.0
+        while auditor.checker.records_ingested < len(good):
+            assert asyncio.get_running_loop().time() < deadline
+            await asyncio.sleep(0.01)
+        writer.close()
+        violations = auditor.finalize()
+        await auditor.close()
+        return reported, violations
+
+    reported, violations = asyncio.run(run())
+    assert reported == [] and violations == []
+
+
+def test_a_crc_damaged_audit_record_is_replayed_not_lost(monkeypatch):
+    """No ARQ on the audit stream: a record failing its CRC must close the
+    connection, so that the reconnect's full replay delivers it."""
+    from repro.ec.codes import example1_code
+    from repro.runtime.asyncio_rt import AsyncioCluster
+
+    transport_cls = asyncio.selector_events._SelectorSocketTransport
+    real_write = transport_cls.write
+    damaged = []
+
+    def write(transport, data):
+        data = bytes(data)
+        if not damaged and transport.get_extra_info("peername") == target[0]:
+            # flip a bit in the body of the first ``r`` frame of the stream
+            pos = 0
+            while pos < len(data):
+                end = pos + 4 + int.from_bytes(data[pos : pos + 4], "big")
+                frame = wire.decode_frame(data[pos:end])
+                if frame[0] == "r":
+                    damaged.append(frame[1])
+                    data = data[: end - 1] + bytes([data[end - 1] ^ 0x10]) + data[end:]
+                    break
+                pos = end
+        return real_write(transport, data)
+
+    target = [None]
+    monkeypatch.setattr(transport_cls, "write", write)
+
+    async def run():
+        auditor = OnlineAuditor()
+        await auditor.start()
+        target[0] = auditor.address
+        cluster = AsyncioCluster(example1_code(), audit_addr=auditor.address)
+        await cluster.start()
+        client = await cluster.add_client(0)
+        for k in range(4):
+            assert not (await client.write(k % 3, cluster.value(k + 1))).failed
+            assert not (await client.read(k % 3)).failed
+        await cluster.quiesce()
+        logged = sum(len(s._audit_log) for s in cluster.servers)
+        deadline = asyncio.get_running_loop().time() + 5.0
+        while auditor.checker.records_ingested < logged:
+            assert asyncio.get_running_loop().time() < deadline, "record lost"
+            await asyncio.sleep(0.01)
+        await cluster.shutdown()
+        violations = auditor.finalize()
+        await auditor.close()
+        return auditor, logged, violations
+
+    auditor, logged, violations = asyncio.run(run())
+    assert len(damaged) == 1
+    assert auditor.connections > 5  # the damaged stream reconnected
+    assert auditor.checker.records_ingested == logged
+    assert auditor.records_received >= logged
+    assert violations == []

@@ -547,7 +547,7 @@ def test_crc_field_corruption_also_detected():
 
 
 def test_frame_corrupt_is_a_wire_error():
-    # _CONN_ERRORS filtering and except WireError handlers keep working
+    # ``except WireError`` handlers (``_Framed.data_received``) keep working
     assert issubclass(wire.FrameCorrupt, wire.WireError)
 
 
