@@ -52,10 +52,12 @@ checkpoint covering everything handled so far straight from the live
 objects (skipped when the file already holds that state, those send
 sequence numbers and those receive watermarks) and, in the same callback,
 detach everything held at that instant into one batch -- each ack with the
-watermark the snapshot holds.  *Disk*, on a worker thread: temp write,
-fsync, rename, directory fsync of the encoded bytes, while the loop goes on
-handling events (of this server and of the others sharing the loop), whose
-output is held for the next commit; at most one commit is in flight per
+watermark the snapshot holds.  *Disk*, on a worker thread: the encoded
+bytes overwrite the server's checkpoint slot that does not hold the newest
+checkpoint, one fsync of that file, then a truncate of the other slot
+(:class:`FileDurableStore`), while the loop goes on handling events (of
+this server and of the others sharing the loop), whose output is held for
+the next commit; at most one commit is in flight per
 server, so batches grow exactly when the disk is slow.  *Release*, back on
 the loop: write that batch's output, in order.  So no byte that reveals a
 state change or acknowledges a delivered frame leaves the process before a
@@ -63,7 +65,7 @@ checkpoint containing that state and that watermark is durable: a client
 never sees a ``WriteAck`` for a write a crash can forget, and a peer never
 prunes a frame the receiver can lose.  A crash before the release drops
 the held output with the volatile state -- nobody saw either -- and leaves
-the file at the old checkpoint or the new one.
+the slots holding the old checkpoint or the new one.
 
 Time is ``loop.time()`` in milliseconds, so the cores see the same unit the
 simulator uses; effect timers map to ``loop.call_at`` guarded by an
@@ -294,29 +296,57 @@ async def _reap(task: asyncio.Task | None, failed: str, *args) -> None:
         log.exception(failed, *args)
 
 
-#: checkpoint file magic; the trailing digits are the container version.
-#: 02 has the layout of 01 -- sections, digests, footer -- but its payloads
-#: use wire v7's compact integer tags, which a build that writes 01 cannot
-#: parse; files of either magic load.
-_CKPT_MAGIC = b"CECKPT02"
-_CKPT_MAGICS = (_CKPT_MAGIC, b"CECKPT01")
+#: checkpoint file magics; the trailing digits are the container version.
+#: 01 and 02 are the single file per server older builds wrote --
+#: ``magic || u32 nsections || (u32 len || blake2b-16 || payload)* ||
+#: header blake2b-16`` -- 02's payloads in wire v7's compact integer tags,
+#: which a build that writes 01 cannot parse.  03 is a slot: the
+#: generation and every section's length and digest come first, under one
+#: header digest, so a slot shorter than its header says is known to be a
+#: torn write and not rot.  All three load, 01 and 02 as generation 0.
+_CKPT_MAGIC = b"CECKPT03"
+_CKPT_MAGICS = (_CKPT_MAGIC, b"CECKPT02", b"CECKPT01")
 _CKPT_DIGEST_LEN = 16
+_CKPT_SECTIONS = 3
+#: a slot's header: magic, generation, section count, section lengths;
+#: the section digests and the header digest follow it
+_CKPT_HEAD = struct.Struct(f">8sQI{_CKPT_SECTIONS}I")
+_CKPT_HEAD_LEN = _CKPT_HEAD.size + (_CKPT_SECTIONS + 1) * _CKPT_DIGEST_LEN
 
 
 def _ckpt_digest(data: bytes) -> bytes:
     return hashlib.blake2b(data, digest_size=_CKPT_DIGEST_LEN).digest()
 
 
-def _write_checkpoint(blob: bytes, tmp: str, path: str, root: str) -> None:
-    """The disk half of a persist: ``blob`` atomically replaces ``path``.
+class _TornCheckpoint(ValueError):
+    """The file ends before the length its header declares: a write that
+    never finished, not damage to one that did."""
 
-    Write-to-temp + fsync + rename + directory fsync, on plain file
-    descriptors and on paths the caller computed: the function reads no
-    store or server state, so it is safe on a worker thread while the
-    event loop moves on.  ``os.fsync`` is looked up on the module at each
-    call (the ledger counts the calls there).
+
+def _write_checkpoint(
+    blob: bytes, path: str, other: str, root: str | None = None,
+    legacy: str | None = None,
+) -> None:
+    """The disk half of a persist: ``blob`` becomes the newest slot.
+
+    Overwrite the slot ``path`` in place, fsync it -- from here the
+    checkpoint is durable and its batch may be released -- then truncate
+    the ``other`` slot, whose older checkpoint is now garbage, without an
+    fsync: if the truncate is lost, the loader still picks the higher
+    generation.  ``root`` is given for a server's first write through this
+    store: it creates the other slot first, fsyncs the directory after the
+    slot, so both slots' entries are durable before anything is released
+    and no later write needs a rename or a directory fsync, and finally
+    unlinks the ``legacy`` single file an older build left.
+
+    Plain file descriptors on paths the caller computed: the function
+    reads no store or server state, so it is safe on a worker thread while
+    the event loop moves on.  ``os.fsync`` is looked up on the module at
+    each call (the ledger counts the calls there).
     """
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    if root is not None:
+        os.close(os.open(other, os.O_WRONLY | os.O_CREAT, 0o666))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
         view = memoryview(blob)
         while view:
@@ -324,9 +354,15 @@ def _write_checkpoint(blob: bytes, tmp: str, path: str, root: str) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
-    os.replace(tmp, path)
-    # the rename is only durable once the directory entry is; some
-    # platforms refuse O_RDONLY fsync on directories -- best effort
+    os.truncate(other, 0)
+    if root is not None:
+        _fsync_dir(root)
+        # generation 0: it loses to the slot even if this unlink is lost
+        Path(legacy).unlink(missing_ok=True)
+
+
+def _fsync_dir(root: str) -> None:
+    # some platforms refuse O_RDONLY fsync on directories -- best effort
     try:
         fd = os.open(root, os.O_RDONLY)
     except OSError:  # pragma: no cover - exotic filesystems
@@ -339,24 +375,55 @@ def _write_checkpoint(blob: bytes, tmp: str, path: str, root: str) -> None:
         os.close(fd)
 
 
+class _Slots:
+    """What a store knows of one server's two slot files."""
+
+    __slots__ = ("newest", "generation", "fresh", "pending")
+
+    def __init__(self) -> None:
+        #: the slot holding the newest checkpoint (``None``: neither does);
+        #: the next write overwrites the other one
+        self.newest: int | None = None
+        #: the highest generation seen on disk or handed out
+        self.generation = 0
+        #: the next write creates the slots and fsyncs the directory
+        self.fresh = True
+        #: a write was handed out and has not landed: it may have got as
+        #: far as truncating ``newest``, so the disk must be read again
+        self.pending = False
+
+
 class FileDurableStore:
-    """File-backed stable storage: one checkpoint file per server.
+    """File-backed stable storage: two checkpoint slots per server.
 
     The live-runtime counterpart of the simulator's in-memory
     :class:`~repro.core.snapshot.DurableStore`, with the same interface.
-    Checkpoints are wire-encoded (never pickled) and replaced atomically
-    (write-to-temp + fsync + rename + directory fsync), so a crash
-    mid-persist leaves the previous checkpoint intact *and* the rename is
-    itself durable; stale ``*.ckpt.tmp`` from a crash mid-write are swept
-    on boot.  :meth:`persist` is that whole, synchronously; with
-    ``defer=True`` it stops after the encode and hands the disk half to
-    the caller, which is how the live server keeps fsync off its loop.
+    Checkpoints are wire-encoded (never pickled) into one of two fixed
+    files per server, ``server_<i>.ckpt.0`` and ``server_<i>.ckpt.1``, and
+    carry a generation that grows with every write.  A persist overwrites
+    the slot that does not hold the newest checkpoint, fsyncs that one
+    file and then truncates the other (a ping-pong checkpoint): one fsync
+    per commit, no temp file, no rename, and a crash mid-write leaves the
+    previous checkpoint in the other slot.  Only a server's first write
+    through the store also fsyncs the directory, which makes both slots'
+    entries durable.  :meth:`load` returns the valid slot with the highest
+    generation.  It passes over a slot only when that slot is shorter than
+    its header declares -- a torn write, whose batch was never released;
+    a slot that fails a digest at full length may be the newer one, so it
+    makes the whole load fail rather than roll back.  A single
+    ``server_<i>.ckpt`` that older builds wrote loads as generation 0 and
+    is unlinked by the first write.  :meth:`persist` is that whole,
+    synchronously; with ``defer=True`` it stops after the encode and hands
+    the disk half to the caller, which is how the live server keeps fsync
+    off its loop.
 
-    Integrity: the file is a sectioned container --
-    ``magic || u32 nsections || (u32 len || blake2b-16 || payload)* ||
-    header blake2b-16`` -- with a digest per section (meta / durable state
-    / transport state) plus a header digest over the section directory.
-    :meth:`load` verifies all of them; *any* mismatch or truncation is
+    Integrity: each slot is a sectioned container -- ``magic || u64
+    generation || u32 nsections || u32 len * n || blake2b-16 * n || header
+    blake2b-16 || payload * n`` -- with a digest per section (meta /
+    durable state / transport state) plus a header digest over the
+    generation, the lengths and the section digests, which is what lets a
+    short slot be told from a rotten one.  :meth:`load` verifies all of
+    them; *any* mismatch or truncation that leaves no valid slot is
     reported as a typed :class:`~repro.core.snapshot.CorruptCheckpoint`
     (in ``corruption_reports``) and surfaces as "no checkpoint", so the
     server restarts empty and lets anti-entropy repair pull its state back
@@ -383,15 +450,20 @@ class FileDurableStore:
         #: store last made durable; dropped whenever the file may no
         #: longer be that checkpoint (load, failed verify, wipe)
         self._durable: dict[int, tuple] = {}
+        #: server -> its slots, as far as this store knows them
+        self._slots: dict[int, _Slots] = {}
         #: every corruption/truncation ever detected by :meth:`load`
         self.corruption_reports: list[CorruptCheckpoint] = []
-        # a crash between tmp-write and rename leaves a stale tmp behind;
-        # it was never the live checkpoint, so sweep it
+        # older builds wrote through a temp file and a rename; a crash
+        # between the two left the temp file behind, never a checkpoint
         for stale in self.root.glob("*.ckpt.tmp"):
             stale.unlink(missing_ok=True)
 
-    def _path(self, server_id: int) -> Path:
-        return self.root / f"server_{server_id}.ckpt"
+    def _path(self, server_id: int, slot: int | None = None) -> Path:
+        """Slot ``slot`` of ``server_id``, or (``None``) the single file
+        older builds wrote."""
+        name = f"server_{server_id}.ckpt"
+        return self.root / (name if slot is None else f"{name}.{slot}")
 
     @staticmethod
     def _encode_sections(
@@ -406,32 +478,66 @@ class FileDurableStore:
         return sections, tuple(_ckpt_digest(p) for p in sections)
 
     @staticmethod
-    def _assemble(sections, digests) -> bytes:
-        head = _CKPT_MAGIC + _U32.pack(len(sections))
-        parts = [head]
-        for payload, digest in zip(sections, digests):
-            parts += [_U32.pack(len(payload)), digest, payload]
-        parts.append(_ckpt_digest(head + b"".join(digests)))
-        return b"".join(parts)
+    def _assemble(sections, digests, generation: int) -> bytes:
+        head = _CKPT_HEAD.pack(
+            _CKPT_MAGIC, generation, len(sections), *map(len, sections)
+        ) + b"".join(digests)
+        return b"".join((head, _ckpt_digest(head), *sections))
 
     @classmethod
-    def _encode_checkpoint(cls, checkpoint: ServerCheckpoint) -> bytes:
-        return cls._assemble(*cls._encode_sections(checkpoint))
+    def _encode_checkpoint(
+        cls, checkpoint: ServerCheckpoint, generation: int
+    ) -> bytes:
+        return cls._assemble(*cls._encode_sections(checkpoint), generation)
 
     @staticmethod
-    def _decode_checkpoint(blob: bytes) -> ServerCheckpoint:
-        """Parse + verify; raises ``ValueError`` on any integrity failure."""
-        view = memoryview(blob)
-        if len(view) < len(_CKPT_MAGIC) + 4 + _CKPT_DIGEST_LEN:
+    def _generation(blob: bytes) -> int | None:
+        """The generation ``blob``'s header declares (0 for the files older
+        builds wrote), or ``None`` when it has no readable one."""
+        magic = bytes(blob[: len(_CKPT_MAGIC)])
+        if magic == _CKPT_MAGIC and len(blob) >= len(magic) + 8:
+            return int.from_bytes(blob[len(magic) : len(magic) + 8], "big")
+        return 0 if magic in _CKPT_MAGICS else None
+
+    @staticmethod
+    def _slot_payloads(view: memoryview) -> list:
+        if len(view) < _CKPT_HEAD_LEN:
+            raise _TornCheckpoint("truncated checkpoint header")
+        head = view[: _CKPT_HEAD_LEN - _CKPT_DIGEST_LEN]
+        if _ckpt_digest(head) != bytes(view[len(head) : _CKPT_HEAD_LEN]):
+            raise ValueError("checkpoint header digest mismatch")
+        _, _, nsections, *lengths = _CKPT_HEAD.unpack_from(view)
+        if nsections != _CKPT_SECTIONS:
+            raise ValueError(f"unexpected section count {nsections}")
+        end = _CKPT_HEAD_LEN + sum(lengths)
+        if len(view) < end:
+            raise _TornCheckpoint("truncated checkpoint payload")
+        if len(view) > end:
+            raise ValueError("trailing bytes after checkpoint payload")
+        payloads, pos = [], _CKPT_HEAD_LEN
+        for i, length in enumerate(lengths):
+            at = _CKPT_HEAD.size + i * _CKPT_DIGEST_LEN
+            payload = view[pos : pos + length]
+            pos += length
+            if _ckpt_digest(payload) != bytes(view[at : at + _CKPT_DIGEST_LEN]):
+                raise ValueError(f"section {i} digest mismatch")
+            payloads.append(payload)
+        return payloads
+
+    @staticmethod
+    def _file_payloads(view: memoryview) -> list:
+        """The sections of a ``CECKPT01`` / ``CECKPT02`` file."""
+        magic = bytes(view[: len(_CKPT_MAGIC)])
+        if len(view) < len(magic) + 4 + _CKPT_DIGEST_LEN:
             raise ValueError("truncated checkpoint header")
-        if view[: len(_CKPT_MAGIC)] not in _CKPT_MAGICS:
+        if magic not in _CKPT_MAGICS[1:]:
             raise ValueError("bad checkpoint magic")
-        pos = len(_CKPT_MAGIC)
+        pos = len(magic)
         (nsections,) = _U32.unpack(view[pos : pos + 4])
         pos += 4
-        if nsections != 3:
+        if nsections != _CKPT_SECTIONS:
             raise ValueError(f"unexpected section count {nsections}")
-        payloads, directory = [], [bytes(view[: len(_CKPT_MAGIC) + 4])]
+        payloads, directory = [], [bytes(view[:pos])]
         for i in range(nsections):
             if pos + 4 + _CKPT_DIGEST_LEN > len(view):
                 raise ValueError(f"truncated section {i} header")
@@ -451,6 +557,17 @@ class FileDurableStore:
             raise ValueError("trailing bytes after checkpoint footer")
         if _ckpt_digest(b"".join(directory)) != bytes(view[pos:]):
             raise ValueError("checkpoint header digest mismatch")
+        return payloads
+
+    @classmethod
+    def _decode_checkpoint(cls, blob: bytes) -> ServerCheckpoint:
+        """Parse + verify; raises ``ValueError`` on any integrity failure,
+        :class:`_TornCheckpoint` when a slot ends before its header says."""
+        view = memoryview(blob)
+        if _CKPT_MAGIC.startswith(bytes(view[: len(_CKPT_MAGIC)])):
+            payloads = cls._slot_payloads(view)
+        else:
+            payloads = cls._file_payloads(view)
         try:
             server_id, time = wire.decode(payloads[0])
             state = wire.decode(payloads[1])
@@ -487,9 +604,10 @@ class FileDurableStore:
 
         A persist is three steps.  *Snapshot* (here, always): encode the
         sections, digest them, and return at once when the file already
-        holds this checkpoint.  *Disk*: :func:`_write_checkpoint` on the
-        assembled, immutable blob.  *Landed*: remember what the file now
-        holds and count the write.
+        holds this checkpoint; otherwise take the next generation and pick
+        the slot that does not hold the newest checkpoint.  *Disk*:
+        :func:`_write_checkpoint` on the assembled, immutable blob.
+        *Landed*: remember what the slot now holds and count the write.
 
         By default all three run before ``persist`` returns.  With
         ``defer`` the caller gets ``(write, landed)`` instead -- or
@@ -498,7 +616,7 @@ class FileDurableStore:
         it may run on any thread; ``landed()`` touches the store and
         belongs on the thread that owns it, after ``write()`` returned.
         The caller keeps at most one deferred persist per server
-        outstanding (two writers would race on the one temp file).
+        outstanding (two writers would both pick the same slot).
         """
         server_id = checkpoint.server_id
         sections, digests = self._encode_sections(checkpoint)
@@ -510,16 +628,27 @@ class FileDurableStore:
             # the file already holds this state (and at least these frames)
             self.skip_counts[server_id] = self.skip_counts.get(server_id, 0) + 1
             return None
-        path = os.fspath(self._path(server_id))
+        slots = self._slots.get(server_id)
+        if slots is None or slots.pending:
+            # a first write, or one after a write that never landed
+            self._scan(server_id)
+            slots = self._slots[server_id]
+        slots.generation += 1
+        slots.pending = True
+        slot = 0 if slots.newest is None else 1 - slots.newest
+        fresh = slots.fresh
         write = partial(
             _write_checkpoint,
-            self._assemble(sections, digests),
-            path + ".tmp",
-            path,
-            os.fspath(self.root),
+            self._assemble(sections, digests, slots.generation),
+            os.fspath(self._path(server_id, slot)),
+            os.fspath(self._path(server_id, 1 - slot)),
+            os.fspath(self.root) if fresh else None,
+            os.fspath(self._path(server_id)) if fresh else None,
         )
 
         def landed() -> None:
+            slots.newest = slot
+            slots.fresh = slots.pending = False
             self._durable[server_id] = durable
             self.persist_counts[server_id] = (
                 self.persist_counts.get(server_id, 0) + 1
@@ -531,42 +660,79 @@ class FileDurableStore:
         landed()
         return None
 
+    def _scan(self, server_id: int):
+        """Read every file ``server_id`` has and update what the store
+        knows of its slots.
+
+        Returns ``(checkpoint, damage)``: the checkpoint of the valid file
+        with the highest generation, and the reports of what made it
+        unusable -- a slot that fails its digests at full length (it may
+        be the newer one: no rollback past it), or, with no valid file at
+        all, a torn one.  ``(None, [])`` when there is no checkpoint.
+
+        The order is the legacy file, then the slot that held the newest
+        checkpoint, then the other: the disk half of a commit in flight
+        truncates the one and unlinks the other only once the slot it
+        writes is durable, so whichever reads short here, the slot read
+        after it is complete.
+        """
+        slots = self._slots.setdefault(server_id, _Slots())
+        first = 0 if slots.newest is None else slots.newest
+        best, torn, rotten, missing = None, [], [], False
+        for slot in (None, first, 1 - first):
+            path = self._path(server_id, slot)
+            try:
+                blob = path.read_bytes()
+            except FileNotFoundError:
+                missing |= slot is not None
+                continue
+            except OSError as exc:
+                rotten.append(CorruptCheckpoint(server_id, str(path), str(exc)))
+                continue
+            if not blob:
+                continue
+            generation = self._generation(blob)
+            if generation is not None:
+                slots.generation = max(slots.generation, generation)
+            try:
+                checkpoint = self._decode_checkpoint(blob)
+            except _TornCheckpoint as exc:
+                torn.append(CorruptCheckpoint(server_id, str(path), str(exc)))
+                continue
+            except ValueError as exc:
+                rotten.append(CorruptCheckpoint(server_id, str(path), str(exc)))
+                continue
+            if best is None or generation > best[0]:
+                best = (generation, slot, checkpoint)
+        slots.newest = None if best is None else best[1]
+        slots.fresh |= missing
+        damage = rotten or (torn if best is None else [])
+        return (None if damage or best is None else best[2]), damage
+
     def load(self, server_id: int) -> ServerCheckpoint | None:
         # forget what we believed about the file: a damaged one must be
         # replaced by the next persist, and rewriting an intact one once
         # per restart is cheap
         self._durable.pop(server_id, None)
-        path = self._path(server_id)
-        if not path.exists():
-            return None
-        try:
-            return self._decode_checkpoint(path.read_bytes())
-        except (ValueError, OSError) as exc:
-            self.corruption_reports.append(
-                CorruptCheckpoint(server_id, str(path), str(exc))
-            )
-            return None
+        checkpoint, damage = self._scan(server_id)
+        self.corruption_reports += damage
+        return checkpoint
 
     def verify_file(self, server_id: int) -> bool | None:
         """Re-verify the at-rest checkpoint's digests (disk scrub).
 
-        Returns ``None`` when no checkpoint exists, ``True`` when every
-        digest checks out, ``False`` (recording a typed report) when the
-        file is damaged -- without surfacing the decoded checkpoint, so
-        scrubbing cannot accidentally become a recovery path.
+        Returns ``None`` when no checkpoint exists, ``True`` when
+        :meth:`load` would return one, ``False`` (recording a typed
+        report) when it would find damage instead -- without surfacing
+        the decoded checkpoint, so scrubbing cannot accidentally become a
+        recovery path.
         """
-        path = self._path(server_id)
-        if not path.exists():
-            return None
-        try:
-            self._decode_checkpoint(path.read_bytes())
-            return True
-        except (ValueError, OSError) as exc:
+        checkpoint, damage = self._scan(server_id)
+        if damage:
             self._durable.pop(server_id, None)  # the heal must rewrite it
-            self.corruption_reports.append(
-                CorruptCheckpoint(server_id, str(path), str(exc))
-            )
+            self.corruption_reports += damage
             return False
+        return None if checkpoint is None else True
 
     def corrupt_detected(self, server_id: int | None = None) -> int:
         """How many corrupt/truncated checkpoints :meth:`load` has seen."""
@@ -578,6 +744,17 @@ class FileDurableStore:
 
     # -- deterministic damage, for chaos schedules and tests -----------
 
+    def _newest_file(self, server_id: int) -> Path | None:
+        """The non-empty file holding the newest checkpoint, as far as the
+        store knows (the legacy file before the first write)."""
+        if server_id not in self._slots:
+            self._scan(server_id)
+        path = self._path(server_id, self._slots[server_id].newest)
+        try:
+            return path if path.stat().st_size else None
+        except FileNotFoundError:
+            return None
+
     def corrupt_file(self, server_id: int, seed: int = 0, flips: int = 1) -> bool:
         """Flip ``flips`` seeded bits in the stored checkpoint (bit rot).
 
@@ -585,12 +762,10 @@ class FileDurableStore:
         a pure function of ``(seed, server_id, file size)`` so chaos
         schedules replay identically.
         """
-        path = self._path(server_id)
-        if not path.exists():
+        path = self._newest_file(server_id)
+        if path is None:
             return False
         blob = bytearray(path.read_bytes())
-        if not blob:
-            return False
         rng = np.random.default_rng((seed, 0xB17F11, server_id, len(blob)))
         for _ in range(flips):
             pos = int(rng.integers(0, len(blob)))
@@ -600,8 +775,8 @@ class FileDurableStore:
 
     def truncate_file(self, server_id: int, keep_frac: float = 0.5) -> bool:
         """Model a torn write: keep only a prefix of the checkpoint file."""
-        path = self._path(server_id)
-        if not path.exists():
+        path = self._newest_file(server_id)
+        if path is None:
             return False
         blob = path.read_bytes()
         path.write_bytes(blob[: int(len(blob) * keep_frac)])
@@ -610,7 +785,13 @@ class FileDurableStore:
     def wipe(self, server_id: int) -> None:
         """Simulate disk loss for one server (tests)."""
         self._durable.pop(server_id, None)
-        self._path(server_id).unlink(missing_ok=True)
+        slots = self._slots.get(server_id)
+        if slots is not None:
+            # keep the generation: nothing written after the loss may
+            # lose to a slot the loss failed to take
+            slots.newest, slots.fresh = None, True
+        for slot in (None, 0, 1):
+            self._path(server_id, slot).unlink(missing_ok=True)
 
 
 class _HeldBatch(NamedTuple):
@@ -1191,10 +1372,10 @@ class AsyncioServer:
         self._inbound.clear()
         self._clients.clear()
         await asyncio.sleep(0.01)  # let the connections observe the close
-        # a disk half caught in flight may land or not -- the file is the
-        # old checkpoint or the new one, and its batch is released to
+        # a disk half caught in flight may land or not -- the slots hold
+        # the old checkpoint or the new one, and its batch is released to
         # nobody -- but it must be over before the next incarnation loads
-        # and writes the same temp file
+        # and writes the same slots
         await self.committed()
         # a crash loses everything not on disk -- and nothing held behind
         # the barrier was ever visible to anyone

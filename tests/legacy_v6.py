@@ -1,11 +1,14 @@
-"""The wire v6 encoder and ``CECKPT01`` container, as they stood before v7.
+"""The wire v6 encoder and the single-file checkpoint container, as older
+builds wrote them.
 
 Upgrade tests need bytes an older build wrote: 9-byte integers, 8-byte
 vector-clock components and field symbols as int64.  This is that encoder
 (value layer and checkpoint container), kept in the tests because nothing in
 ``src/`` writes the old form any more -- ``src/`` only has to *read* it.
 ``test_v2_era_body_still_decodes`` pins it against bytes recorded from the
-real v2..v6 encoder.
+real v2..v6 encoder.  The container, :func:`single_file`, is the one file
+per server that builds before checkpoint slots wrote: ``CECKPT01`` around
+v6 payloads, ``CECKPT02`` around v7 ones.
 """
 
 from __future__ import annotations
@@ -102,8 +105,14 @@ def checkpoint_v6(checkpoint: ServerCheckpoint) -> bytes:
             checkpoint.transport,
         )
     ]
+    return single_file(b"CECKPT01", sections)
+
+
+def single_file(magic: bytes, sections) -> bytes:
+    """``magic || u32 nsections || (u32 len || blake2b-16 || payload)* ||
+    header blake2b-16`` over the section payloads ``sections``."""
     digests = [_digest(p) for p in sections]
-    head = b"CECKPT01" + _U32.pack(len(sections))
+    head = magic + _U32.pack(len(sections))
     parts = [head]
     for payload, digest in zip(sections, digests):
         parts += [_U32.pack(len(payload)), digest, payload]

@@ -9,7 +9,7 @@ and the event loop handling further events meanwhile.
 * **order spy** -- over the ``write`` of the socket transports the servers
   own, ``os.fsync`` and ``FileDurableStore.persist``: a server writes no
   ``("m", ...)``, ``("a", ...)`` or ``("d", ...)`` frame showing more than
-  the last checkpoint whose directory fsync has returned.  Run over a plain
+  the last checkpoint whose slot fsync has returned.  Run over a plain
   workload, and over one where a gate stops a write in flight while the
   server handles more -- there it must catch two mutants: an ack written
   with the release-time watermark, and held frames not split at the
@@ -23,11 +23,15 @@ and the event loop handling further events meanwhile.
   online auditor stays clean over a seeded 200-op run with three such
   kills;
 * **crash with a write in flight** -- the same, with the disk half stopped
-  at each of its four steps (and, before the rename, lost altogether);
+  at each of its three steps, and there either landing or lost;
 * **disk error** -- a disk half that fails releases nothing, and the next
   commit writes and releases everything exactly once, in order;
 * **quiesce** -- a quiesced cluster's files hold what its servers hold, one
-  file per server and no temp file;
+  non-empty slot per server, the other empty, and no temp file;
+* **power cuts** -- what a machine that stops at any step of a write leaves
+  in the two slots loads as the last checkpoint whose batch was released,
+  or as no checkpoint when a full-length slot is damaged -- never as an
+  older one -- and the next write's generation beats both slots;
 * **GC slots** -- the periodic GC tick of server ``i`` is armed for slot
   ``i/N`` of the period on the loop clock and stays there when the loop
   lags, so servers sharing a loop never drift into phase groups (read off
@@ -65,12 +69,14 @@ from repro.runtime import wire
 from repro.runtime.asyncio_rt import (
     AsyncioCluster,
     AsyncioServer,
+    FileDurableStore,
     _Inbound,
     _PeerChannel,
 )
 from repro.runtime.auditor import OnlineAuditor
 
 from tests.test_live_batching import _frames
+from tests.test_live_integrity import _checkpoint
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -120,30 +126,36 @@ class _OrderSpy:
     told apart by not belonging to a server).  ``durable[s]`` is the
     content of the last checkpoint server ``s`` made durable.  It is
     copied at the snapshot (the capture is zero-copy) and noted only once
-    the disk half of that very persist has returned on its worker thread,
-    i.e. after the directory fsync of that server's file -- or at once
-    when the store found the file already holding that very state.  A frame is a
-    violation when it shows more than that checkpoint holds: a data frame
-    whose sequence number the checkpoint's send state has not reached, an
-    ack above the checkpoint's receive watermark, a reply stamped with a
-    clock the checkpoint's clock does not cover.
+    the fsync of that very persist's slot file has returned on its worker
+    thread -- or at once when the store found the file already holding
+    that very state.  A frame is a violation when it shows more than that
+    checkpoint holds: a data frame whose sequence number the checkpoint's
+    send state has not reached, an ack above the checkpoint's receive
+    watermark, a reply stamped with a clock the checkpoint's clock does
+    not cover.
     """
 
     def __init__(self, cluster, monkeypatch):
         self.durable: dict[int, dict] = {}
         self.written = {"m": 0, "a": 0, "d": 0}
-        #: the thread of every directory fsync (``append`` is atomic)
-        self.dir_fsyncs: list[int] = []
+        #: the thread of every slot file fsync (``append`` is atomic)
+        self.file_fsyncs: list[int] = []
         self.violations: list[str] = []
         self._cluster = cluster
+        #: the persist whose disk half runs on this thread: (server, content)
+        self._writing = threading.local()
         spy = self
 
         real_fsync = os.fsync
 
         def fsync(fd):
             real_fsync(fd)
-            if _is_dir_fd(fd):
-                spy.dir_fsyncs.append(threading.get_ident())
+            if not _is_dir_fd(fd):
+                spy.file_fsyncs.append(threading.get_ident())
+                writing = getattr(spy._writing, "persist", None)
+                if writing is not None:
+                    sid, content = writing
+                    spy.durable[sid] = content  # durable from here on
 
         monkeypatch.setattr(os, "fsync", fsync)
 
@@ -167,12 +179,15 @@ class _OrderSpy:
 
             def spied_write():
                 me = threading.get_ident()
-                before = spy.dir_fsyncs.count(me)
-                write()
-                # a real write ends in exactly one directory fsync
-                if spy.dir_fsyncs.count(me) - before != 1:
-                    spy.violations.append(f"server {sid}: no directory fsync")
-                spy.durable[sid] = content
+                before = spy.file_fsyncs.count(me)
+                spy._writing.persist = (sid, content)
+                try:
+                    write()
+                finally:
+                    spy._writing.persist = None
+                # a real write fsyncs exactly one file, its slot
+                if spy.file_fsyncs.count(me) - before != 1:
+                    spy.violations.append(f"server {sid}: no single slot fsync")
 
             return spied_write, landed
 
@@ -235,7 +250,7 @@ def test_no_frame_leaves_between_handler_and_commit(monkeypatch):
 
     spy = asyncio.run(run())
     # the run really exercised replies, acks, data frames and the disk
-    assert all(spy.written.values()) and spy.dir_fsyncs
+    assert all(spy.written.values()) and spy.file_fsyncs
     assert spy.violations == []
 
 
@@ -243,18 +258,18 @@ class _DiskGate:
     """Stops the disk half of one server's next commit at a chosen point.
 
     Wraps the ``os`` calls ``_write_checkpoint`` makes.  Once armed, the
-    worker thread that opens the server's temp file is followed through
-    its write; at ``point`` it sets ``reached`` and waits for ``resume``
-    (set it beforehand for a gate that does not stop).  With ``error`` the
-    thread then raises it instead of carrying on: the disk half dies there.
-    One commit only -- the gate disarms when it is reached.
+    worker thread that opens one of the server's slots to overwrite it is
+    followed through its write; at ``point`` it sets ``reached`` and waits
+    for ``resume`` (set it beforehand for a gate that does not stop).  With
+    ``error`` the thread then raises it instead of carrying on: the disk
+    half dies there.  One commit only -- the gate disarms when it is
+    reached.
     """
 
     POINTS = (
-        "before-tmp-write",
-        "after-file-fsync",
-        "after-rename",
-        "after-dir-fsync",
+        "before-slot-write",
+        "after-slot-fsync",
+        "after-other-truncate",
     )
 
     def __init__(self, monkeypatch, store, server_id, point, error=None):
@@ -263,9 +278,9 @@ class _DiskGate:
         self.resume = threading.Event()
         self._armed = False
         self._thread = None
-        tmp = os.fspath(store._path(server_id)) + ".tmp"
+        slots = {os.fspath(store._path(server_id, slot)) for slot in (0, 1)}
         gate = self
-        real_open, real_fsync, real_replace = os.open, os.fsync, os.replace
+        real_open, real_fsync, real_truncate = os.open, os.fsync, os.truncate
 
         def at(here):
             if not (gate._armed and gate._thread == threading.get_ident()):
@@ -279,23 +294,24 @@ class _DiskGate:
             if error is not None:
                 raise error
 
-        def open_(path, *args, **kwargs):
-            if gate._armed and path == tmp:
+        def open_(path, flags, *args, **kwargs):
+            if gate._armed and path in slots and flags & os.O_TRUNC:
                 gate._thread = threading.get_ident()
-                at("before-tmp-write")
-            return real_open(path, *args, **kwargs)
+                at("before-slot-write")
+            return real_open(path, flags, *args, **kwargs)
 
         def fsync(fd):
             real_fsync(fd)
-            at("after-dir-fsync" if _is_dir_fd(fd) else "after-file-fsync")
+            if not _is_dir_fd(fd):
+                at("after-slot-fsync")
 
-        def replace(src, dst):
-            real_replace(src, dst)
-            at("after-rename")
+        def truncate(path, length):
+            real_truncate(path, length)
+            at("after-other-truncate")
 
         monkeypatch.setattr(os, "open", open_)
         monkeypatch.setattr(os, "fsync", fsync)
-        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "truncate", truncate)
 
     def arm(self) -> None:
         self._armed = True
@@ -353,7 +369,7 @@ def test_output_handled_with_a_write_in_flight_waits_for_the_next_commit(
             retry=RetryPolicy(timeout=5000.0, max_retries=2),
         )
         spy = _OrderSpy(cluster, monkeypatch)
-        gate = _DiskGate(monkeypatch, cluster.store, victim_id, "before-tmp-write")
+        gate = _DiskGate(monkeypatch, cluster.store, victim_id, "before-slot-write")
         if mutant is not None:
             mutant(monkeypatch)
         await cluster.start()
@@ -484,7 +500,7 @@ def test_one_iteration_of_peer_frames_is_one_checkpoint_and_one_ack_per_peer(
         return wrote, fsynced, sinks, vc, checkpoint, peers
 
     wrote, fsyncs, sinks, vc, checkpoint, peers = asyncio.run(run())
-    assert wrote == 1 and fsyncs == 2  # temp file + directory, once
+    assert wrote == 1 and fsyncs == 2  # its first write: slot + directory, once
     for j in peers:
         # one cumulative ack per peer, carrying the final watermark
         assert _frames(sinks[j].writes) == [("a", per_peer)]
@@ -565,8 +581,9 @@ class _StopDiskAtCommit(_CrashAtCommit):
 
 
 def _vc_on_disk(cluster, server_id: int) -> VectorClock:
-    blob = cluster.store._path(server_id).read_bytes()
-    return cluster.store._decode_checkpoint(blob).state["vc"]
+    """The clock a restart would load: read by a store of its own, so the
+    cluster's store learns nothing from the look."""
+    return FileDurableStore(cluster.store.root).load(server_id).state["vc"]
 
 
 def test_crash_between_handler_and_commit_loses_only_what_nobody_saw():
@@ -679,13 +696,14 @@ _LOST = OSError(errno.EIO, "the machine lost power here")
 @pytest.mark.parametrize(
     "point,error",
     [(point, None) for point in _DiskGate.POINTS]
-    + [(point, _LOST) for point in _DiskGate.POINTS[:2]],
+    + [(point, _LOST) for point in _DiskGate.POINTS],
     ids=lambda v: v if isinstance(v, str) else "lands" if v is None else "lost",
 )
 def test_crash_at_every_point_of_an_in_flight_commit(monkeypatch, point, error):
     """``kill`` cannot stop the worker thread: it waits for it.  Whether the
-    write then lands or dies, the file is the old checkpoint or the new
-    one, and the batch that waited for it is released to nobody."""
+    write then lands or dies, the disk holds the old checkpoint (the write
+    died before touching its slot) or the new one (its slot's fsync had
+    returned), and the batch that waited for it is released to nobody."""
     code = example1_code()
     victim = 2
 
@@ -732,9 +750,7 @@ def test_crash_at_every_point_of_an_in_flight_commit(monkeypatch, point, error):
         vc_in_memory = server.core.vc
         disk_writes = cluster.store.persist_counts[victim]
         audit_durable = server._audit_durable
-        vc_before_rename = (
-            _vc_on_disk(cluster, victim) if point in _DiskGate.POINTS[:2] else None
-        )
+        vc_at_gate = _vc_on_disk(cluster, victim)
         released = [
             op.ts for op in cluster.history.completed()
             if home[op.client_id] == victim
@@ -753,8 +769,12 @@ def test_crash_at_every_point_of_an_in_flight_commit(monkeypatch, point, error):
         landed = cluster.store.persist_counts[victim] - disk_writes
         assert landed == (1 if error is None else 0)
         on_disk = _vc_on_disk(cluster, victim)
+        if error is not None and point == "before-slot-write":
+            assert on_disk == vc_at_gate  # the old checkpoint, untouched
+        else:
+            # the slot was durable: the new checkpoint, released or not
+            assert on_disk == stopped.vc_in_memory
         if error is not None:
-            assert on_disk == vc_before_rename  # the old checkpoint, untouched
             assert server._audit_durable == audit_durable
         else:
             # the audit records of a checkpoint that landed stay with it
@@ -802,7 +822,7 @@ def test_a_failed_disk_half_releases_nothing_and_the_next_commit_everything_once
             retry=RetryPolicy(timeout=5000.0, max_retries=2),
         )
         gate = _DiskGate(
-            monkeypatch, cluster.store, victim_id, "after-file-fsync",
+            monkeypatch, cluster.store, victim_id, "after-slot-fsync",
             OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
         )
         await cluster.start()
@@ -880,6 +900,8 @@ def test_a_failed_disk_half_releases_nothing_and_the_next_commit_everything_once
 
 
 def test_quiesced_means_on_disk_one_file_per_server_and_no_tmp(tmp_path):
+    """One non-empty file per server: of its two slots, the one the last
+    commit wrote holds what the server holds, and the other is empty."""
     code = example1_code()
 
     async def run():
@@ -896,16 +918,227 @@ def test_quiesced_means_on_disk_one_file_per_server_and_no_tmp(tmp_path):
 
         await asyncio.gather(*(session(i, c) for i, c in enumerate(clients)))
         await cluster.quiesce()
-        files = sorted(os.listdir(tmp_path))
+        files = {
+            name: os.path.getsize(tmp_path / name) for name in os.listdir(tmp_path)
+        }
         assert not any(s.committing for s in cluster.servers)
         clocks = [(s.core.vc, _vc_on_disk(cluster, s.node_id)) for s in cluster.servers]
         await cluster.shutdown()
         return files, clocks
 
     files, clocks = asyncio.run(run())
-    assert files == [f"server_{i}.ckpt" for i in range(code.N)]
+    assert sorted(files) == [
+        f"server_{i}.ckpt.{slot}" for i in range(code.N) for slot in (0, 1)
+    ]
+    for i in range(code.N):
+        sizes = [files[f"server_{i}.ckpt.{slot}"] for slot in (0, 1)]
+        assert min(sizes) == 0 and max(sizes) > 0, (i, sizes)
     for in_memory, on_disk in clocks:
         assert in_memory == on_disk
+
+
+# ----------------------------------------------------------------------
+# power cuts: what the two slots hold when the machine stops
+
+
+def _slots(root, server_id: int) -> list:
+    return [FileDurableStore(root)._path(server_id, slot) for slot in (0, 1)]
+
+
+def _reboot(root, server_id: int):
+    """A new process over the same files: ``(checkpoint, reports)``."""
+    store = FileDurableStore(root)
+    return store.load(server_id), store.corruption_reports
+
+
+def _power_cut(fd):
+    """An ``os.fsync`` that never returns: part of the file reached the
+    disk, then the machine stopped."""
+    os.ftruncate(fd, os.fstat(fd).st_size * 2 // 3)
+    raise _LOST
+
+
+def _two_writes(tmp_path):
+    """Two landed writes of one server, then a power cut that loses the
+    truncate of the second (nothing fsyncs it): both slots valid, the
+    second's generation the higher.  Returns the store, the checkpoint
+    (as of the second write) and the two slots, older first."""
+    store = FileDurableStore(tmp_path)
+    ckpt = _checkpoint()
+    store.persist(ckpt)
+    (older,) = [p for p in _slots(tmp_path, ckpt.server_id) if p.stat().st_size]
+    old_bytes = older.read_bytes()
+    ckpt.state["_opid_seq"] += 1
+    store.persist(ckpt)
+    assert older.stat().st_size == 0  # truncated once the newer was durable
+    older.write_bytes(old_bytes)
+    (newer,) = [p for p in _slots(tmp_path, ckpt.server_id) if p != older]
+    return store, ckpt, older, newer
+
+
+def test_a_lost_truncate_leaves_the_higher_generation_winning(tmp_path):
+    """(I1) A batch goes out once its slot's fsync returned; the truncate of
+    the other slot comes after and is never fsynced.  If it is lost, the
+    older checkpoint is back beside the newer one: ``load`` takes the
+    higher generation, and the next write overwrites the stale slot."""
+    store, ckpt, older, newer = _two_writes(tmp_path)
+    loaded, reports = _reboot(tmp_path, ckpt.server_id)
+    assert reports == []
+    assert loaded.state["_opid_seq"] == ckpt.state["_opid_seq"]
+    rebooted = FileDurableStore(tmp_path)
+    assert rebooted.load(ckpt.server_id) is not None
+    ckpt.state["_opid_seq"] += 1
+    rebooted.persist(ckpt)
+    assert newer.stat().st_size == 0 and older.stat().st_size > 0
+    loaded, reports = _reboot(tmp_path, ckpt.server_id)
+    assert reports == []
+    assert loaded.state["_opid_seq"] == ckpt.state["_opid_seq"]
+
+
+def test_a_torn_newer_slot_loads_the_last_released_checkpoint(tmp_path, monkeypatch):
+    """(I2) A write the power cut stopped before its fsync returned leaves
+    a slot shorter than its header says -- at any byte -- and its batch
+    was never released.  ``load`` passes over it to the older slot, which
+    is the last checkpoint whose batch was, and reports nothing."""
+    store = FileDurableStore(tmp_path)
+    ckpt = _checkpoint()
+    sid = ckpt.server_id
+    store.persist(ckpt)
+    released = ckpt.state["_opid_seq"]
+    (torn,) = [p for p in _slots(tmp_path, sid) if not p.stat().st_size]
+    ckpt.state["_opid_seq"] += 1
+    with monkeypatch.context() as patched:
+        patched.setattr(os, "fsync", _power_cut)
+        with pytest.raises(OSError):
+            store.persist(ckpt)
+    assert store.persist_counts[sid] == 1  # never landed: never released
+    assert all(p.stat().st_size for p in _slots(tmp_path, sid))
+    loaded, reports = _reboot(tmp_path, sid)
+    assert reports == [] and loaded.state["_opid_seq"] == released
+    # the same at every length the torn slot can have
+    blob = FileDurableStore._encode_checkpoint(ckpt, generation=2)
+    for length in range(len(blob)):
+        torn.write_bytes(blob[:length])
+        loaded, reports = _reboot(tmp_path, sid)
+        assert reports == [], length
+        assert loaded.state["_opid_seq"] == released, length
+    # the store that saw the write fail reads the disk before its next one
+    store.persist(ckpt)
+    loaded, reports = _reboot(tmp_path, sid)
+    assert reports == [] and loaded.state["_opid_seq"] == ckpt.state["_opid_seq"]
+
+
+def test_after_a_write_failed_past_its_fsync_the_next_one_takes_the_other_slot(
+    tmp_path, monkeypatch
+):
+    """A disk half that fails after its slot's fsync -- here the truncate of
+    the other slot reports an error once it is done -- leaves that slot the
+    only checkpoint, and the error does not say how far it got.  So the
+    next write reads the disk first and overwrites the emptied slot: a
+    power cut during it still leaves a checkpoint to load."""
+    store = FileDurableStore(tmp_path)
+    ckpt = _checkpoint()
+    store.persist(ckpt)
+    ckpt.state["_opid_seq"] += 1
+    real_truncate = os.truncate
+
+    def truncate_then_fail(path, length):
+        real_truncate(path, length)
+        raise _LOST
+
+    with monkeypatch.context() as patched:
+        patched.setattr(os, "truncate", truncate_then_fail)
+        with pytest.raises(OSError):
+            store.persist(ckpt)
+    durable = ckpt.state["_opid_seq"]
+    ckpt.state["_opid_seq"] += 1
+    with monkeypatch.context() as patched:
+        patched.setattr(os, "fsync", _power_cut)
+        with pytest.raises(OSError):
+            store.persist(ckpt)
+    loaded, reports = _reboot(tmp_path, ckpt.server_id)
+    assert reports == [] and loaded.state["_opid_seq"] == durable
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bit_rot_in_the_newer_slot_is_no_checkpoint_not_a_rollback(tmp_path, seed):
+    """(I2) A slot of full length that fails a digest may be the newer one,
+    so the older valid slot beside it must not load: ``load`` reports the
+    damage and returns no checkpoint, exactly as for a lone damaged file."""
+    store, ckpt, older, newer = _two_writes(tmp_path)
+    assert store.corrupt_file(ckpt.server_id, seed=seed)
+    loaded, reports = _reboot(tmp_path, ckpt.server_id)
+    assert loaded is None
+    assert [r.path for r in reports] == [str(newer)]
+
+
+def test_the_write_after_a_damaged_load_outranks_both_slots(tmp_path):
+    """(I3) After ``load`` found a rotten slot beside a valid one, the next
+    generation is above both, so the valid older slot can never win over
+    what is written from here on."""
+    store, ckpt, older, newer = _two_writes(tmp_path)
+    store.corrupt_file(ckpt.server_id, seed=1)
+    generations = [
+        FileDurableStore._generation(p.read_bytes()) for p in (older, newer)
+    ]
+    assert generations == [1, 2]
+    rebooted = FileDurableStore(tmp_path)
+    assert rebooted.load(ckpt.server_id) is None
+    ckpt.state["_opid_seq"] += 1
+    rebooted.persist(ckpt)
+    (written,) = [p for p in (older, newer) if p.stat().st_size]
+    assert FileDurableStore._generation(written.read_bytes()) > max(generations)
+    loaded, reports = _reboot(tmp_path, ckpt.server_id)
+    assert reports == [] and loaded.state["_opid_seq"] == ckpt.state["_opid_seq"]
+
+
+def test_no_file_vanishes_from_a_running_store(tmp_path):
+    """A reader that lists the store directory and stats every entry --
+    what a size census of a live cluster does -- never finds an entry gone
+    between the two: commits overwrite and truncate slots in place, and
+    nothing is renamed over or unlinked."""
+    code = example1_code()
+    stop = threading.Event()
+    missing: list[str] = []
+    scans = 0
+
+    def census():
+        nonlocal scans
+        while not stop.is_set():
+            for entry in tmp_path.iterdir():
+                try:
+                    entry.stat()
+                except FileNotFoundError:
+                    missing.append(entry.name)
+            scans += 1
+
+    async def run():
+        cluster = AsyncioCluster(
+            code, config=ServerConfig(gc_interval=20.0), store_dir=tmp_path
+        )
+        await cluster.start()
+        clients = [await cluster.add_client(s) for s in (0, 3)]
+        reader = threading.Thread(target=census)
+        reader.start()
+        try:
+
+            async def session(i, client):
+                for k in range(100):
+                    op = await client.write((i + k) % code.K, cluster.value(k))
+                    assert not op.failed
+
+            await asyncio.gather(*(session(i, c) for i, c in enumerate(clients)))
+        finally:
+            stop.set()
+            reader.join(10.0)
+        assert not reader.is_alive()
+        writes = sum(cluster.store.persist_counts.values())
+        await cluster.shutdown()
+        return writes
+
+    writes = asyncio.run(run())
+    assert writes >= 200 and scans >= 100
+    assert missing == []
 
 
 def test_gc_ticks_keep_to_their_slots_when_the_loop_lags():

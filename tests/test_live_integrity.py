@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +55,11 @@ from repro.protocol.repair_core import RepairConfig
 from repro.protocol.scrub_core import ScrubConfig
 from repro.protocol.server_core import ServerConfig, ServerCore
 from repro.runtime import wire
-from repro.runtime.asyncio_rt import AsyncioCluster, FileDurableStore
+from repro.runtime.asyncio_rt import (
+    AsyncioCluster,
+    FileDurableStore,
+    _TornCheckpoint,
+)
 from repro.runtime.auditor import OnlineAuditor
 from repro.runtime.chaos_rt import LiveFaultInjector
 from repro.runtime.live_chaos import run_live_chaos
@@ -74,6 +79,16 @@ REPAIR_WAIT = 3.0
 LIVE_SCRUB_SEEDS = [
     int(s) for s in os.environ.get("LIVE_SCRUB_SEEDS", "9,11").split(",")
 ]
+
+
+def _slot_file(root, server_id: int) -> Path:
+    """The one non-empty slot of ``server_id``: a landed write truncates
+    the other."""
+    (path,) = [
+        p for p in Path(root).glob(f"server_{server_id}.ckpt.[01]")
+        if p.stat().st_size
+    ]
+    return path
 
 
 def _checkpoint():
@@ -140,7 +155,7 @@ def test_file_store_sweeps_stale_tmp_on_boot(tmp_path):
     store = FileDurableStore(tmp_path)
     ckpt = _checkpoint()
     store.persist(ckpt)
-    # a crash between tmp-write and rename leaves a stale tmp behind
+    # an older build crashed between its tmp-write and its rename
     stale = tmp_path / "server_9.ckpt.tmp"
     stale.write_bytes(b"half-written garbage")
     reopened = FileDurableStore(tmp_path)
@@ -197,8 +212,10 @@ def test_pr12_checkpoint_loads_serves_and_is_rewritten_compact(tmp_path):
     assert core.stats.integrity_quarantines == 0
     # ... and whose next persist writes the same state in the compact form
     store.persist(capture_server_state(core))
-    rewritten = (tmp_path / "server_2.ckpt").read_bytes()
-    assert rewritten.startswith(b"CECKPT02")
+    rewritten = _slot_file(tmp_path, 2).read_bytes()
+    assert rewritten.startswith(b"CECKPT03")
+    # the old file goes once the slot holding its successor is durable
+    assert not (tmp_path / "server_2.ckpt").exists()
     assert len(rewritten) < len(golden) / 2
     again = store.load(2)
     assert store.corrupt_detected() == 0
@@ -241,11 +258,14 @@ def test_cluster_upgrades_in_place_from_int64_ckpt01_files(tmp_path):
             await cluster.kill_server(s)
         sizes = []
         for s in range(code.N):
-            path = tmp_path / f"server_{s}.ckpt"
-            new = path.read_bytes()
+            # the directory an older build left: one file per server
+            slot = _slot_file(tmp_path, s)
+            new = slot.read_bytes()
             old = checkpoint_v6(FileDurableStore._decode_checkpoint(new))
             assert old.startswith(b"CECKPT01")
-            path.write_bytes(old)
+            for path in tmp_path.glob(f"server_{s}.ckpt.[01]"):
+                path.unlink()
+            (tmp_path / f"server_{s}.ckpt").write_bytes(old)
             sizes.append((len(new), len(old)))
         for s in range(code.N):
             await cluster.restart_server(s)
@@ -277,6 +297,7 @@ def test_cluster_upgrades_in_place_from_int64_ckpt01_files(tmp_path):
                 reads.append((k, op.value))
                 assert np.array_equal(op.value, written[k])
         await cluster.quiesce()
+        legacy = sorted(p.name for p in tmp_path.glob("server_?.ckpt"))
         quarantines = sum(s.core.stats.integrity_quarantines for s in cluster.servers)
         reports = list(cluster.store.corruption_reports)
         await asyncio.sleep(0.1)  # let the audit streams drain
@@ -284,10 +305,13 @@ def test_cluster_upgrades_in_place_from_int64_ckpt01_files(tmp_path):
         history = cluster.history
         await cluster.shutdown()
         await auditor.close()
-        return sizes, reads, dtypes, quarantines, reports, violations, history
+        return sizes, reads, dtypes, quarantines, reports, violations, history, legacy
 
-    sizes, reads, dtypes, quarantines, reports, violations, history = asyncio.run(run())
+    sizes, reads, dtypes, quarantines, reports, violations, history, legacy = (
+        asyncio.run(run())
+    )
     assert all(old > 2 * new for new, old in sizes), sizes
+    assert legacy == []  # every server has written its slots since
     assert reports == [] and quarantines == 0
     assert dtypes == {code.field.storage_dtype}
     assert violations == []
@@ -302,15 +326,27 @@ def test_cluster_upgrades_in_place_from_int64_ckpt01_files(tmp_path):
 
 
 class _FsyncCounter:
+    """Counts ``os.fsync`` calls (``dirs`` of them on directories) and
+    records any other way to sync in ``others``: the ledger counts
+    ``os.fsync`` alone, so every sync must go through it."""
+
     def __init__(self, monkeypatch):
         self.calls = 0
+        self.dirs = 0
+        self.others: list[str] = []
         real = os.fsync
 
         def fsync(fd):
             self.calls += 1
+            self.dirs += stat.S_ISDIR(os.fstat(fd).st_mode)
             real(fd)
 
         monkeypatch.setattr(os, "fsync", fsync)
+        for name in ("fdatasync", "sync", "sync_file_range"):
+            if hasattr(os, name):
+                monkeypatch.setattr(
+                    os, name, lambda *args, name=name: self.others.append(name)
+                )
 
 
 def test_file_store_skips_unchanged_state_and_writes_changed(tmp_path, monkeypatch):
@@ -318,23 +354,62 @@ def test_file_store_skips_unchanged_state_and_writes_changed(tmp_path, monkeypat
     ckpt = _checkpoint()
     fsyncs = _FsyncCounter(monkeypatch)
     store.persist(ckpt)
+    # the first write: the slot and the directory that now lists both slots
     assert (fsyncs.calls, store.persist_counts[ckpt.server_id]) == (2, 1)
-    written = (tmp_path / f"server_{ckpt.server_id}.ckpt").read_bytes()
+    written = _slot_file(tmp_path, ckpt.server_id).read_bytes()
     # same state and transport, later clock reading: nothing to make durable
     ckpt.time += 50.0
     store.persist(ckpt)
     assert (fsyncs.calls, store.persist_counts[ckpt.server_id]) == (2, 1)
     assert store.skip_counts[ckpt.server_id] == 1
-    assert (tmp_path / f"server_{ckpt.server_id}.ckpt").read_bytes() == written
+    assert _slot_file(tmp_path, ckpt.server_id).read_bytes() == written
     assert not list(tmp_path.glob("*.tmp"))
-    # a change in either compared section is written
+    # a change in either compared section is written, at one fsync each
     ckpt.state["_opid_seq"] += 1
     store.persist(ckpt)
-    assert (fsyncs.calls, store.persist_counts[ckpt.server_id]) == (4, 2)
+    assert (fsyncs.calls, store.persist_counts[ckpt.server_id]) == (3, 2)
     ckpt.transport = {"send": {}, "recv": {0: 1}}
     store.persist(ckpt)
-    assert (fsyncs.calls, store.persist_counts[ckpt.server_id]) == (6, 3)
+    assert (fsyncs.calls, store.persist_counts[ckpt.server_id]) == (4, 3)
     assert store.load(ckpt.server_id).transport == {"send": {}, "recv": {0: 1}}
+    assert (fsyncs.dirs, fsyncs.others) == (1, [])
+
+
+def test_file_store_fsyncs_the_directory_once_per_server_and_store(
+    tmp_path, monkeypatch
+):
+    """Only the write that first creates a server's slots -- in a store, or
+    after ``wipe`` -- fsyncs the directory; every later one is one fsync
+    of one slot, whichever slot it lands in and whatever ``load`` read."""
+    fsyncs = _FsyncCounter(monkeypatch)
+    store = FileDurableStore(tmp_path)
+    ckpt = _checkpoint()
+    sid = ckpt.server_id
+    costs = []
+
+    def write() -> None:
+        ckpt.state["_opid_seq"] += 1
+        before = (fsyncs.calls, fsyncs.dirs)
+        store.persist(ckpt)
+        costs.append((fsyncs.calls - before[0], fsyncs.dirs - before[1]))
+
+    for _ in range(4):
+        write()
+    assert store.load(sid) is not None
+    write()
+    store.wipe(sid)
+    write()
+    write()
+    store = FileDurableStore(tmp_path)  # a new process over the same files
+    write()
+    write()
+    assert costs == [
+        (2, 1), (1, 0), (1, 0), (1, 0), (1, 0),
+        (2, 1), (1, 0),
+        (2, 1), (1, 0),
+    ]
+    assert store.persist_counts[sid] == 2 and fsyncs.others == []
+    assert store.load(sid).state["_opid_seq"] == ckpt.state["_opid_seq"]
 
 
 def test_file_store_does_not_rewrite_for_an_ack_that_only_trims_a_send_log(tmp_path):
@@ -346,13 +421,13 @@ def test_file_store_does_not_rewrite_for_an_ack_that_only_trims_a_send_log(tmp_p
     store = FileDurableStore(tmp_path)
     ckpt = _checkpoint()
     sid = ckpt.server_id
-    path = tmp_path / f"server_{sid}.ckpt"
 
     def transport(seq, unacked, watermark):
         return {"send": {1: {"seq": seq, "unacked": unacked}}, "recv": {1: watermark}}
 
     ckpt.transport = transport(2, [(1, "a"), (2, "b")], 7)
     store.persist(ckpt)
+    path = _slot_file(tmp_path, sid)
     written = path.read_bytes()
     for tail in ([(2, "b")], []):  # the peer acks frame 1, then frame 2
         ckpt.transport = transport(2, tail, 7)
@@ -397,7 +472,7 @@ def test_bytes_at_rest_after_a_remote_read_do_not_depend_on_gc_ticks():
         def at_rest():
             return [
                 (
-                    (cluster.store.root / f"server_{s}.ckpt").stat().st_size,
+                    _slot_file(cluster.store.root, s).stat().st_size,
                     cluster.store.persist_counts[s],
                 )
                 for s in responders
@@ -552,19 +627,23 @@ def test_restart_after_damage_to_an_idle_servers_file_is_typed_and_empty():
     assert vc.lamport == 0, "restart-empty: a corrupt checkpoint is no checkpoint"
 
 
-_CKPT_BLOB = FileDurableStore._encode_checkpoint(_checkpoint())
+_CKPT_BLOB = FileDurableStore._encode_checkpoint(_checkpoint(), generation=7)
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_any_single_bit_flip_in_a_checkpoint_is_detected(data):
-    """Every byte of the container is covered by some digest."""
+    """Every byte of the container is covered by some digest, and a flip
+    in a slot of full length is never mistaken for a torn write (which
+    ``load`` may pass over for an older slot)."""
     pos = data.draw(st.integers(0, len(_CKPT_BLOB) - 1))
     bit = data.draw(st.integers(0, 7))
     damaged = bytearray(_CKPT_BLOB)
     damaged[pos] ^= 1 << bit
     try:
         FileDurableStore._decode_checkpoint(bytes(damaged))
+    except _TornCheckpoint:
+        raise AssertionError(f"bit {bit} of byte {pos} flipped reads as torn")
     except ValueError:
         pass  # typed detection -- the load path turns this into a report
     else:

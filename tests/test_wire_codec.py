@@ -66,7 +66,7 @@ from repro.runtime import wire
 from repro.runtime.asyncio_rt import AsyncioCluster, FileDurableStore
 
 from tests import reference_v7
-from tests.legacy_v6 import checkpoint_v6, encode_v6
+from tests.legacy_v6 import checkpoint_v6, encode_v6, single_file
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -967,10 +967,13 @@ def test_live_checkpoints_encode_as_the_reference_does(tmp_path, monkeypatch):
     asyncio.run(run())
     assert not differing
     assert len(seen) >= 50 and set(seen) == set(range(code.N))
-    for path in sorted(tmp_path.glob("server_*.ckpt")):
+    slots = [p for p in tmp_path.glob("server_*.ckpt.[01]") if p.stat().st_size]
+    assert len(slots) == code.N
+    for path in sorted(slots):
         blob = path.read_bytes()
         loaded = FileDurableStore._decode_checkpoint(blob)
-        assert FileDurableStore._encode_checkpoint(loaded) == blob
+        generation = FileDurableStore._generation(blob)
+        assert FileDurableStore._encode_checkpoint(loaded, generation) == blob
         assert wire.encode(loaded.state) == reference_v7.encode(loaded.state)
 
 
@@ -993,9 +996,18 @@ def test_pr23_checkpoint_reencodes_byte_for_byte():
     assert len(loaded.state["L"]) > 0 and any(
         d.total_entries() for d in loaded.state["DelL"].values()
     )
-    assert FileDurableStore._encode_checkpoint(loaded) == golden
+
+    def reencoded() -> bytes:
+        # the store's section payloads, in the container the file came in
+        sections, _ = FileDurableStore._encode_sections(loaded)
+        return single_file(b"CECKPT02", sections)
+
+    assert reencoded() == golden
     # warm: every tag now carries its bytes
-    assert FileDurableStore._encode_checkpoint(loaded) == golden
+    assert reencoded() == golden
+    # a slot holds the very same payloads
+    slot = FileDurableStore._encode_checkpoint(loaded, generation=1)
+    assert slot.endswith(b"".join(FileDurableStore._encode_sections(loaded)[0]))
     for part in (loaded.state, loaded.transport):
         assert wire.encode(part) == reference_v7.encode(part)
 
