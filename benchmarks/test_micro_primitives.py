@@ -255,27 +255,35 @@ def test_wire_encoder_vs_reference_on_recorded_state(vlen, tmp_path, kernel_timi
         )
 
 
-def test_wire_encode_frames_vs_reference_on_a_mixed_batch(kernel_timings):
-    """What one flush writes: 300 frames, a third each ``App`` (64-symbol
-    value), ``Del`` and cumulative ack, tags shared the way peers share
+def test_wire_encode_runs_vs_reference_on_a_mixed_batch(kernel_timings):
+    """What 100 commits write to one peer: each releases an ``App``
+    (64-symbol value) and a ``Del`` as one run frame, with the cumulative
+    ack owed to that peer riding in it; tags shared the way peers share
     them (one ``App`` tag is the ``Del`` tag a little later)."""
     code = example1_code(PrimeField(257), value_len=64)
     value = code.field.validate(np.arange(64))
-    frames = []
+    flushes, frames = [], []
     for i in range(100):
         tag = Tag(VectorClock((300 + i, 17, 2, 4, 255)), 1000 + i % 5)
         app, dele = App(i % code.K, value, tag), Del(i % code.K, tag, origin=i % 5)
         app.size_bits = dele.size_bits = 1024.0
-        frames += [("d", 3 * i + 1, app), ("d", 3 * i + 2, dele), ("a", 3 * i)]
+        ack = ((1 << 61) + 7, 2 * i)  # (connection id, upto)
+        flushes.append(([("d", 2 * i + 1, app), ("d", 2 * i + 2, dele)], ack))
+        frames.append(("d", 2 * i + 1, [app, dele], *ack))
     want = b"".join(reference_v7.encode_frame(f) for f in frames)
+
+    def encode_runs():
+        return b"".join(wire.encode_runs(items, ack)[0] for items, ack in flushes)
+
+    assert encode_runs() == want
     assert wire.encode_frames(frames) == want
     reference_s = best_of(
         lambda: b"".join(reference_v7.encode_frame(f) for f in frames), 5
     )
-    new_s = best_of(lambda: wire.encode_frames(frames), 5)
+    new_s = best_of(encode_runs, 5)
     kernel_timings.append(
         {
-            "op": "wire_encode_frames_300",
+            "op": "wire_encode_runs_100",
             "field": "app_del_ack",
             "value_len": 64,
             "code": code.name,

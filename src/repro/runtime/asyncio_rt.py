@@ -17,10 +17,16 @@ dialled one is kept up by the one dial loop :func:`_redial`.  Two kinds
 arrive on a server's listener, told apart by a hello frame (a malformed
 one closes it):
 
-* ``("hp", i, acked, cfg_epoch, seq)`` -- the *peer data channel* from
-  server ``i``: server ``i`` dials every other server and owns the directed
-  channel ``i -> j``.  Data frames ``("d", seq, msg)`` flow dialer ->
-  listener; cumulative acks ``("a", seq)`` flow back on the same socket.
+* ``("hp", i, acked, cfg_epoch, seq, conn)`` -- the *peer data channel*
+  from server ``i``: server ``i`` dials every other server and owns the
+  directed channel ``i -> j``.  Data frames ``("d", first, [msg, ...])``
+  -- a run of consecutive sequence numbers, one frame per commit unless
+  it passes ``wire.RUN_BUDGET`` -- flow dialer -> listener; cumulative
+  acks ``("a", seq)`` flow back on the same socket, or ride in ``j``'s
+  own run to ``i`` as ``("d", first, msgs, conn, seq)``: ``conn``, fresh
+  and random per dialled connection, names the connection -- and so the
+  incarnation and sequence space -- the ack is for; ``i`` applies it only
+  to its current one.
   ``acked`` and ``seq`` bracket the dialer's unacked tail: a listener
   whose watermark is outside them resynchronises (see ``_peer_hello``).
   ``cfg_epoch`` is the dialer's membership epoch: a listener that has
@@ -81,6 +87,7 @@ import asyncio
 import hashlib
 import logging
 import os
+import secrets
 import struct
 import tempfile
 from collections import deque
@@ -799,7 +806,8 @@ class _HeldBatch(NamedTuple):
 
     #: ``(client id, msg)``, in the order the handlers produced them
     replies: list
-    #: ``(peer, its connection, receive watermark in the snapshot)``
+    #: ``(peer, its connection, receive watermark in the snapshot, the id
+    #: of the peer's connection whose hello that watermark follows)``
     acks: list
     #: ``(channel, the connection the frames were queued for, frames)``
     frames: list
@@ -842,6 +850,9 @@ class _PeerChannel:
         self.unacked: deque[tuple[int, object]] = deque()
         #: the current connection; ``None`` while (re)dialling
         self.transport: asyncio.Transport | None = None
+        #: the id the latest connection's hello carried; an ack the peer
+        #: piggybacks on its data frames counts only under this id
+        self.conn: int | None = None
         #: the dial loop: connect, then wait for the connection to close
         self.task: asyncio.Task | None = None
         self._rexmit_task: asyncio.Task | None = None
@@ -890,7 +901,7 @@ class _PeerChannel:
             # CRC-covered region.  The receiver's frame CRC rejects it
             # like a drop and the ARQ retransmits a clean copy.
             frame = self.server.chaos.damage(
-                wire.encode_frame(frame),
+                wire.encode_frame(("d", seq, [msg])),
                 self.server.node_id,
                 self.peer_id,
                 fate.k,
@@ -939,20 +950,25 @@ class _PeerChannel:
         self._pending = []
         return self.transport, frames
 
-    def release(self, transport, frames: list) -> None:
+    def release(self, transport, frames: list, ack: tuple | None = None) -> bool:
         """The commit that detached ``frames`` is durable: send them, in
-        one write.
+        one write, each run of consecutive data messages as one frame
+        (:func:`~repro.runtime.wire.encode_runs`), with ``ack`` -- the
+        ``(conn, upto)`` owed to the peer -- in the last run.  Returns
+        whether the ack went out.
 
         A channel that has redialled since the frames were detached has
         replayed its whole unacked tail on the new connection and shed the
         rest, exactly as ``_connected`` does with ``_pending`` -- sending
-        the batch as well would put every data frame on the wire twice.
+        the batch as well would put every data message on the wire twice.
         """
         if transport is None or self.transport is not transport:
-            return
-        transport.write(wire.encode_frames(frames))
-        self.server.frames_sent += len(frames)
+            return False
+        data, frames_sent, carried = wire.encode_runs(frames, ack)
+        transport.write(data)
+        self.server.frames_sent += frames_sent
         self.server.flushes += 1
+        return carried
 
     def reclaim(self, transport, frames: list) -> None:
         """The commit that detached ``frames`` failed: hold them again,
@@ -971,7 +987,8 @@ class _PeerChannel:
     def _connected(self, conn: "_Dialed") -> None:
         """Say hello on a fresh connection and replay the unacked tail."""
         s, transport = self.server, conn.transport
-        hello = ("hp", s.node_id, self.acked, s.core.cfg_epoch, self.seq)
+        self.conn = secrets.randbits(62) + 1
+        hello = ("hp", s.node_id, self.acked, s.core.cfg_epoch, self.seq, self.conn)
         s._write_frame(transport, hello)
         # frames queued for the dead connection are stale; the replay
         # below re-sends everything that still matters
@@ -1188,8 +1205,8 @@ class AsyncioServer:
         self.host = host
         self.port = port
         self.chaos = chaos
-        #: wire frames put on a socket / single transport.write calls issued;
-        #: ``frames_sent / flushes`` is the measured batching factor
+        #: wire frames put on a socket (a run of data messages is one) /
+        #: single transport.write calls issued
         self.frames_sent = 0
         self.flushes = 0
         #: inbound frames rejected by the frame CRC and skipped like drops
@@ -1229,6 +1246,8 @@ class AsyncioServer:
         self._held_replies: list[tuple[int, object]] = []
         #: cumulative ack owed to each peer: ``src -> its connection``
         self._held_acks: dict[int, asyncio.Transport] = {}
+        #: peer -> the connection id of its latest hello (volatile)
+        self._peer_conn: dict[int, int] = {}
         self.detector: FailureDetectorCore | None = None
         if detector is not None:
             others = [j for j in range(self.num_servers) if j != self.node_id]
@@ -1382,6 +1401,7 @@ class AsyncioServer:
         self._dirty = False
         self._held_replies.clear()
         self._held_acks.clear()
+        self._peer_conn.clear()
         del self._audit_log[self._audit_durable:]
         self._recv_last = {}
         self._ooo = {}
@@ -1447,10 +1467,10 @@ class AsyncioServer:
         kind = _kind(hello)
         if (
             kind == "hp"
-            and len(hello) == 5
+            and len(hello) == 6
             and all(type(x) is int for x in hello[1:])
         ):
-            _, src, base, peer_epoch, sent = hello
+            _, src, base, peer_epoch, sent, conn_id = hello
             if not self.reconfig.frame_admissible(peer_epoch):
                 # the dialer is in an older membership epoch: fence the
                 # connection (none of its frames are delivered) but hand
@@ -1463,6 +1483,7 @@ class AsyncioServer:
                 return False
             conn.src, conn.handle = src, self._peer_frame
             self._peer_hello(src, base, sent)
+            self._peer_conn[src] = conn_id
             return True
         if kind == "hc" and len(hello) == 2 and type(hello[1]) is int:
             conn.src, conn.handle = hello[1], self._client_frame
@@ -1503,8 +1524,9 @@ class AsyncioServer:
                     del pending[seq]
 
     def _peer_frame(self, conn: "_Inbound", frame) -> bool:
-        """Deliver a data frame from peer ``conn.src`` in order, exactly
-        once; hand gossip to the detector and repair overlays."""
+        """Deliver the run of data messages in a frame from peer
+        ``conn.src`` in order, exactly once, and apply the ack it carries;
+        hand gossip to the detector and repair overlays."""
         src = conn.src
         kind = _kind(frame)
         if kind == "g" and len(frame) == 2:
@@ -1522,14 +1544,21 @@ class AsyncioServer:
                     )
                 self.interpret(self.repair.handle_message(src, gm, self.now()))
             return True
-        if kind != "d" or len(frame) != 3 or type(frame[1]) is not int:
+        # ("d", first, [msg, ...]) or, carrying an ack, (..., conn, upto)
+        if not (
+            kind == "d" and len(frame) in (3, 5)
+            and type(frame[1]) is int and frame[1] >= 1
+            and type(frame[2]) is list and frame[2]
+            and all(type(x) is int for x in frame[3:])
+        ):
             return False
-        _, seq, msg = frame
         if self.detector is not None:
             # any delivered frame is liveness evidence, duplicates too
             self.interpret(self.detector.observe(src, self.now()))
         last = self._recv_last.get(src, 0)
-        if seq > last:
+        for seq, msg in enumerate(frame[2], frame[1]):
+            if seq <= last:
+                continue
             pending = self._ooo.setdefault(src, {})
             pending[seq] = msg
             while last + 1 in pending:
@@ -1541,6 +1570,12 @@ class AsyncioServer:
                 self._persist()
                 self.activity += 1
                 self._deliver(src, m)
+        if len(frame) == 5:
+            # the peer's ack of our channel to it, in our connection's
+            # sequence space only when it names that connection
+            ch = self._channels.get(src)
+            if ch is not None and ch.conn == frame[3]:
+                ch._on_ack(frame[4])
         # cumulative, so one ack per peer per commit: the commit writes
         # the watermark it has just made durable
         self._held_acks[src] = conn.transport
@@ -1691,6 +1726,7 @@ class AsyncioServer:
                 self.detector.watch(e.joiner, self.now())
         for p in retired:
             self.peers.pop(p, None)
+            self._peer_conn.pop(p, None)
             ch = self._channels.pop(p, None)
             if ch is not None:
                 asyncio.ensure_future(ch.stop())
@@ -1817,8 +1853,12 @@ class AsyncioServer:
         return _HeldBatch(
             replies,
             # the watermark the snapshot holds -- by release time
-            # ``_recv_last`` has moved on to frames the file lacks
-            [(src, w, self._recv_last.get(src, 0)) for src, w in acks.items()],
+            # ``_recv_last`` has moved on to frames the file lacks -- and
+            # the connection id of the hello it follows
+            [
+                (src, w, self._recv_last.get(src, 0), self._peer_conn.get(src))
+                for src, w in acks.items()
+            ],
             [
                 (channel, *held)
                 for channel in self._channels.values()
@@ -1858,15 +1898,25 @@ class AsyncioServer:
         for dst, msg in batch.replies:
             # a client that has gone re-requests through its retry policy
             self._write_frame(self._clients.get(dst), ("m", msg))
-        for _src, transport, upto in batch.acks:
-            self._write_frame(transport, ("a", upto))
+        # an ack rides in the peer's last run frame when there is one;
+        # ``conn`` tells the peer which of its connections it belongs to
+        owed = {
+            src: (conn, upto)
+            for src, _transport, upto, conn in batch.acks
+            if conn is not None
+        }
+        carried = set()
         for channel, transport, frames in batch.frames:
-            channel.release(transport, frames)
+            if channel.release(transport, frames, owed.get(channel.peer_id)):
+                carried.add(channel.peer_id)
+        for src, transport, upto, _conn in batch.acks:
+            if src not in carried:
+                self._write_frame(transport, ("a", upto))
 
     def _reclaim(self, batch: _HeldBatch) -> None:
         """Put a batch whose write failed back in front of what is held."""
         self._held_replies[:0] = batch.replies
-        for src, transport, _upto in batch.acks:
+        for src, transport, _upto, _conn in batch.acks:
             # a newer connection from ``src`` is the one that gets the ack
             self._held_acks.setdefault(src, transport)
         for channel, transport, frames in batch.frames:
@@ -2271,10 +2321,12 @@ class AsyncioCluster:
     def frame_stats(self) -> dict[str, int]:
         """Aggregate wire-frame counters across servers and clients.
 
-        ``frames_sent`` counts frames put on a socket, ``flushes`` counts
-        ``transport.write`` calls (a client writes one request frame per
-        call); frames/flushes is the per-commit coalescing factor.  Hellos
-        of clients and audit-stream frames are not counted.
+        ``frames_sent`` counts frames put on a socket -- a run of data
+        messages is one frame -- and ``flushes`` counts ``transport.write``
+        calls (a client writes one request frame per call).  A commit's
+        messages to a peer and the ack it owes that peer share one frame,
+        so frames/flushes sits near 1 by design.  Hellos of clients and
+        audit-stream frames are not counted.
         """
         requests = sum(c.frames_sent for c in self.clients)
         return {

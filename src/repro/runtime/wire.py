@@ -55,9 +55,9 @@ Copies
 The codec is on the live runtime's per-message hot path, so both directions
 avoid full-body copies:
 
-* :func:`encode_frame` (and the batched :func:`encode_frames`) assemble the
-  length word, version byte and encoded fields in one ``b"".join`` -- the
-  body is never concatenated twice;
+* :func:`encode_frame` (and the batched :func:`encode_frames` and
+  :func:`encode_runs`) assemble the length word, version byte and encoded
+  fields in one ``b"".join`` -- the body is never concatenated twice;
 * decoding walks a :class:`memoryview` over the input, so container and
   string traversal never slices fresh ``bytes``; ndarray payloads are
   returned as **read-only zero-copy views** over the frame buffer
@@ -116,6 +116,8 @@ __all__ = [
     "decode",
     "encode_frame",
     "encode_frames",
+    "encode_runs",
+    "RUN_BUDGET",
     "decode_frame",
     "decode_body",
     "register",
@@ -682,6 +684,88 @@ def encode_frames(objs: Iterable[Any]) -> bytes:
         else:
             _frame_into(out, obj)
     return b"".join(out)
+
+
+#: a run frame closes before the encoded messages in its list pass this
+#: many bytes (one larger message still goes alone)
+RUN_BUDGET = 1 << 20
+
+#: ``encode("d")``, the kind of every run frame
+_RUN_KIND = _TAGGED_U32.pack(_T_STR, 1) + b"d"
+
+
+def _is_data(item: Any) -> bool:
+    return type(item) is tuple and item[0] == "d"
+
+
+def _close_run(out: list, mark: int, first: int, count: int, ack) -> None:
+    """Fill the slot reserved at ``out[mark]`` for a run of ``count``
+    messages from ``first`` (their chunks follow it): the frame header and
+    the head of the tuple and its list; ``ack`` fields go on the end."""
+    head = [_TAGGED_U32.pack(_T_TUPLE, 3 if ack is None else 5), _RUN_KIND]
+    _enc_int(head, first)
+    head.append(_TAGGED_U32.pack(_T_LIST, count))
+    head = b"".join(head)
+    for v in ack or ():
+        _enc_int(out, v)
+    body_len = len(head)
+    crc = zlib.crc32(head)
+    for part in out[mark + 1 :]:
+        body_len += len(part)
+        crc = zlib.crc32(part, crc)
+    if body_len > MAX_FRAME_BYTES:
+        raise WireError(f"frame of {body_len} bytes exceeds MAX_FRAME_BYTES")
+    out[mark] = _HDR_CRC.pack(body_len + 6, WIRE_VERSION, _FLAG_CRC, crc) + head
+
+
+def encode_runs(items: list, ack: tuple | None = None) -> tuple[bytes, int, bool]:
+    """Frame one peer channel's released items for a single socket write.
+
+    ``items`` are, in order, sequenced data messages ``("d", seq, msg)``,
+    other frames (gossip) and pre-encoded frames (chaos-damaged bytes).
+    Each maximal run of consecutive ``seq`` becomes one frame
+    ``("d", first, [msg, ...])``: any other item ends a run, and a run
+    closes before the encoded messages in its list pass
+    :data:`RUN_BUDGET`.  ``ack``, a ``(conn, upto)`` pair of ints, rides
+    in the last run frame as ``("d", first, msgs, conn, upto)``.  Each
+    message is encoded once, straight into the output, behind a slot
+    reserved for the heads (:func:`_close_run`).  The bytes are those of
+    :func:`encode_frames` over the merged tuples.
+
+    Returns the bytes, the number of frames, and whether ``ack`` went out.
+    """
+    out: list[bytes | memoryview] = []
+    frames = 0
+    last = max((i for i, it in enumerate(items) if _is_data(it)), default=-1)
+    mark = None  # the open run's slot in ``out``
+    first = count = size = 0
+    for i, item in enumerate(items):
+        if not _is_data(item):
+            if mark is not None:
+                _close_run(out, mark, first, count, None)
+                mark = None
+            if isinstance(item, (bytes, bytearray, memoryview)):
+                out.append(item)
+            else:
+                _frame_into(out, item)
+            frames += 1
+            continue
+        parts: list = []
+        _encode_into(parts, item[2])
+        n = sum(map(len, parts))
+        if mark is not None and (item[1] != first + count or size + n > RUN_BUDGET):
+            _close_run(out, mark, first, count, None)
+            mark = None
+        if mark is None:
+            mark, first, count, size = len(out), item[1], 0, 0
+            out.append(b"")
+            frames += 1
+        out += parts
+        count, size = count + 1, size + n
+        if i == last:
+            _close_run(out, mark, first, count, ack)
+            mark = None
+    return b"".join(out), frames, ack is not None and last >= 0
 
 
 def decode_body(body: bytes | bytearray | memoryview) -> Any:

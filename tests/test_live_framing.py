@@ -10,10 +10,12 @@ whose ``data_received`` splits the byte stream into frames
 * **damage** -- a frame that fails its CRC is skipped and counted, and the
   frames on either side of it are delivered; a length prefix above
   ``wire.MAX_FRAME_BYTES`` closes the connection;
-* **malformed input** -- a hello or frame of the wrong shape closes the
-  connection without reaching the loop's exception handler, and the
-  cluster goes on serving; a client closes a connection that sends it a
-  malformed reply and redials;
+* **malformed input** -- a hello or frame of the wrong shape (the old
+  five-field peer hello, a run frame without a non-empty message list,
+  a ``first`` below 1, an ack that is not two ints) closes the connection
+  without reaching the loop's exception handler, while a well-formed
+  one-message run is acked, and the cluster goes on serving; a client
+  closes a connection that sends it a malformed reply and redials;
 * **one-shot and push connections** -- a control RPC takes the first
   well-formed reply; the audit stream writes what is durable and holds
   records while its transport is paused;
@@ -30,6 +32,7 @@ import functools
 import numpy as np
 
 from repro.consistency.online import AuditOp
+from repro.core.messages import RepairRequest
 from repro.ec.codes import example1_code
 from repro.protocol.client_core import ClientCore, RetryPolicy
 from repro.runtime import wire
@@ -87,12 +90,12 @@ class _Recorder(_Framed):
 
 
 _SAMPLE = [
-    ("hp", 1, 0, 0, 3),
-    ("d", 1, ("payload", b"\x00" * 300)),
+    ("hp", 1, 0, 0, 3, 1 << 62),
+    ("d", 1, [("payload", b"\x00" * 300)]),
     ("g", None),
-    ("d", 2, np.arange(7, dtype=np.uint16)),
+    ("d", 2, [np.arange(7, dtype=np.uint16), "x"]),
     ("a", 70000),
-    ("d", 3, ""),
+    ("d", 4, [""], 1 << 62, 70000),
 ]
 
 
@@ -123,23 +126,23 @@ def test_a_stream_split_at_every_byte_offset_delivers_the_same_frames():
         rec.data_received(stream[k : k + 1])
     assert _same(rec.frames, _SAMPLE)
     # decoded arrays own their bytes: the buffer moved on underneath them
-    assert rec.frames[3][2].tolist() == list(range(7))
+    assert rec.frames[3][2][0].tolist() == list(range(7))
 
 
 @_in_loop
 def test_a_damaged_frame_is_skipped_and_counted_between_good_ones():
-    damaged = bytearray(wire.encode_frame(("d", 2, "rotten")))
+    damaged = bytearray(wire.encode_frame(("d", 2, ["rotten"])))
     damaged[-1] ^= 0x10  # inside the CRC-covered body
     stream = (
-        wire.encode_frame(("d", 1, "before"))
+        wire.encode_frame(("d", 1, ["before"]))
         + bytes(damaged)
-        + wire.encode_frame(("d", 3, "after"))
+        + wire.encode_frame(("d", 3, ["after"]))
     )
     for cut in range(len(stream) + 1):
         rec = _Recorder()
         rec.data_received(stream[:cut])
         rec.data_received(stream[cut:])
-        assert rec.frames == [("d", 1, "before"), ("d", 3, "after")], cut
+        assert rec.frames == [("d", 1, ["before"]), ("d", 3, ["after"])], cut
         assert rec.owner.frames_corrupt == 1
         assert not rec.transport.closed
 
@@ -218,6 +221,19 @@ async def _rejected(server, *frames) -> bool:
         writer.close()
 
 
+async def _answer(server, *frames):
+    """Send ``frames`` on a fresh connection; the first frame back."""
+    reader, writer = await asyncio.open_connection(server.host, server.port)
+    try:
+        writer.write(wire.encode_frames(frames))
+        await writer.drain()
+        head = await asyncio.wait_for(reader.readexactly(4), 5.0)
+        length = int.from_bytes(head, "big")
+        return wire.decode_body(await asyncio.wait_for(reader.readexactly(length), 5.0))
+    finally:
+        writer.close()
+
+
 def test_malformed_hellos_and_frames_close_the_connection_quietly():
     code = example1_code()
 
@@ -228,11 +244,33 @@ def test_malformed_hellos_and_frames_close_the_connection_quietly():
         cluster = AsyncioCluster(code)
         await cluster.start()
         server = cluster.servers[0]
-        for hello in (7, ("hp",), ("hc",), ("hp", 1, "x", 0, 0)):
+        epoch = server.core.cfg_epoch
+        for hello in (
+            7, ("hp",), ("hc",), ("hp", 1, "x", 0, 0, 5),
+            ("hp", 1, 0, epoch, 0),  # the five-field hello of older builds
+            ("hp", 1, 0, epoch, 0, None),
+        ):
             assert await _rejected(server, hello), hello
-        # a well-formed peer hello, then a data frame without an int seq
-        hello = ("hp", 1, 0, server.core.cfg_epoch, 0)
-        assert await _rejected(server, hello, ("d", "x", "msg"))
+        # a well-formed hello from a peer id nobody uses (so no real
+        # channel's watermark moves), then a data frame of the wrong shape
+        hello = ("hp", 7, 0, epoch, 1, 42)
+        msg = RepairRequest(7, {}, None)  # dropped: no repair overlay here
+        for frame in (
+            ("d", "x", [msg]),  # seq not an int
+            ("d", 1, msg),  # payload not a list
+            ("d", 1, (msg,)),
+            ("d", 1, []),  # empty run
+            ("d", 0, [msg]),  # first below 1
+            ("d", -3, [msg]),
+            ("d", 1, [msg], 42),  # four elements
+            ("d", 1, [msg], "42", 1),  # conn not an int
+            ("d", 1, [msg], 42, None),  # upto not an int
+            ("d", 1, [msg], 42, 1, 0),
+        ):
+            assert await _rejected(server, hello, frame), frame
+        # the positive control: the same hello and a one-message run are
+        # delivered and acked
+        assert await _answer(server, hello, ("d", 1, [msg])) == ("a", 1)
         # ... and a client hello, then a frame of no known kind
         assert await _rejected(server, ("hc", 99), ("q", 1))
         await asyncio.sleep(0.05)

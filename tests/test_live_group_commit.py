@@ -130,9 +130,10 @@ class _OrderSpy:
     thread -- or at once when the store found the file already holding
     that very state.  A frame is a violation when it shows more than that
     checkpoint holds: a data frame whose sequence number the checkpoint's
-    send state has not reached, an ack above the checkpoint's receive
-    watermark, a reply stamped with a clock the checkpoint's clock does
-    not cover.
+    send state has not reached (a run frame is judged by its *last*
+    message), an ack -- standalone or piggybacked on a run -- above the
+    checkpoint's receive watermark, a reply stamped with a clock the
+    checkpoint's clock does not cover.
     """
 
     def __init__(self, cluster, monkeypatch):
@@ -217,7 +218,11 @@ class _OrderSpy:
                 continue
             self.written[kind] += 1
             if kind == "d":
-                ok = frame[1] <= disk["seq"].get(dialled, 0)
+                ok = frame[1] + len(frame[2]) - 1 <= disk["seq"].get(dialled, 0)
+                if len(frame) == 5:
+                    # the ack owed to the peer, riding in its run
+                    self.written["a"] += 1
+                    ok = ok and frame[4] <= disk["recv"].get(dialled, 0)
             elif kind == "a":
                 ok = frame[1] <= disk["recv"].get(inbound.src, 0)
             else:
@@ -331,8 +336,8 @@ def _ack_with_release_time_watermark(monkeypatch):
 
     def release(server, batch):
         acks = [
-            (src, transport, server._recv_last.get(src, 0))
-            for src, transport, _upto in batch.acks
+            (src, transport, server._recv_last.get(src, 0), conn)
+            for src, transport, _upto, conn in batch.acks
         ]
         real(server, batch._replace(acks=acks))
 
@@ -342,9 +347,9 @@ def _ack_with_release_time_watermark(monkeypatch):
 def _pending_not_split_at_snapshot(monkeypatch):
     real = _PeerChannel.release
 
-    def release(channel, transport, frames):
+    def release(channel, transport, frames, ack=None):
         late, channel._pending = channel._pending, []
-        real(channel, transport, frames + late)
+        return real(channel, transport, frames + late, ack)
 
     monkeypatch.setattr(_PeerChannel, "release", release)
 
@@ -411,6 +416,119 @@ def test_output_handled_with_a_write_in_flight_waits_for_the_next_commit(
         assert spy.violations, "the order spy let a mutant through"
 
 
+def _ack_applied_whatever_its_conn(monkeypatch):
+    real = AsyncioServer._peer_frame
+
+    def peer_frame(server, conn, frame):
+        if type(frame) is not tuple or len(frame) != 5:
+            return real(server, conn, frame)
+        ok = real(server, conn, frame[:3])
+        ch = server._channels.get(conn.src)
+        if ok and ch is not None:
+            ch._on_ack(frame[4])
+        return ok
+
+    monkeypatch.setattr(AsyncioServer, "_peer_frame", peer_frame)
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [None, _ack_applied_whatever_its_conn],
+    ids=lambda m: "real" if m is None else m.__name__.strip("_"),
+)
+def test_an_ack_captured_for_a_wiped_peers_old_connection_prunes_nothing(
+    monkeypatch, mutant
+):
+    """Server ``s`` holds an ack for peer ``p``'s old connection when ``p``
+    loses its disk and restarts, numbering from 1 again.  ``s``'s channel
+    reaches the new ``p`` first, so the ack rides in a run to it, under
+    the old connection id -- which the new ``p`` must not apply: its own
+    first message, which ``s`` has not received, would be pruned and lost.
+    """
+    code = example1_code()
+    s_id, p_id = 2, 0
+
+    async def run():
+        cluster = AsyncioCluster(
+            code,
+            config=ServerConfig(gc_interval=None),
+            retry=RetryPolicy(timeout=5000.0, max_retries=2),
+        )
+        gate = _DiskGate(monkeypatch, cluster.store, s_id, "before-slot-write")
+        if mutant is not None:
+            mutant(monkeypatch)
+        await cluster.start()
+        s, p = cluster.servers[s_id], cluster.servers[p_id]
+        at_s, at_p = await cluster.add_client(s_id), await cluster.add_client(p_id)
+        for k in range(3):  # the old p's watermark at s climbs past 1
+            assert not (await at_p.write(k % code.K, cluster.value(k + 1))).failed
+        await cluster.quiesce()
+        carried = []  # (conn, upto) of every ack s piggybacks to p
+        real_write = _SOCKET_TRANSPORT.write
+
+        def write(transport, data):
+            if _owner(s, transport)[0] == p_id:
+                carried.extend(
+                    f[3:] for f in _frames([bytes(data)]) if f[0] == "d" and len(f) == 5
+                )
+            return real_write(transport, data)
+
+        monkeypatch.setattr(_SOCKET_TRANSPORT, "write", write)
+        # s's commit stops on its way to disk; behind it s handles the
+        # old p's App and owes it an ack
+        gate.arm()
+        write_at_s = asyncio.ensure_future(at_s.write(1, cluster.value(7)))
+        await _until(gate.reached.is_set)
+        old_conn = s._peer_conn[p_id]
+        assert not (await at_p.write(2, cluster.value(8))).failed
+        await _until(lambda: p_id in s._held_acks)
+        # p loses its disk and comes back -- without dialling s yet
+        held_back = []
+        real_start = _PeerChannel.start
+
+        def start(ch):
+            if ch.server is p and ch.peer_id == s_id:
+                held_back.append(ch)
+            else:
+                real_start(ch)
+
+        monkeypatch.setattr(_PeerChannel, "start", start)
+        await at_p.close()
+        old_transport = s._channels[p_id].transport
+        await cluster.kill_server(p_id)
+        cluster.store.wipe(p_id)
+        await cluster.restart_server(p_id)
+        to_s = p._channels[s_id]
+        at_new_p = await cluster.add_client(p_id)
+        assert not (await at_new_p.write(0, cluster.value(9))).failed
+        assert [seq for seq, _ in to_s.unacked][:1] == [1]
+        # s's channel reaches the new p and replays its tail behind the
+        # barrier; the gate opens and the next commit lets it out, with
+        # the ack captured for the old connection
+        ch = s._channels[p_id]
+        await _until(
+            lambda: ch.transport not in (None, old_transport) and ch._pending
+        )
+        gate.resume.set()
+        await _until(lambda: carried)
+        await asyncio.sleep(0.05)
+        # (it may have queued more for s meanwhile; none of it reached s)
+        pruned = to_s.acked != 0 or [q for q, _ in to_s.unacked][:1] != [1]
+        real_start(held_back[0])
+        assert not (await asyncio.wait_for(write_at_s, 5.0)).failed
+        await cluster.quiesce()
+        delivered = s._recv_last.get(p_id, 0) == to_s.seq and not to_s.unacked
+        await cluster.shutdown()
+        return carried, old_conn, pruned, delivered
+
+    carried, old_conn, pruned, delivered = asyncio.run(run())
+    assert [conn for conn, _upto in carried][:1] == [old_conn]
+    if mutant is None:
+        assert not pruned and delivered
+    else:
+        assert pruned and not delivered, "the stale ack was not caught"
+
+
 class _AckSink:
     """Stands in for the transport of a connection a peer dialled:
     collects what we ack."""
@@ -441,17 +559,35 @@ def test_one_iteration_of_peer_frames_is_one_checkpoint_and_one_ack_per_peer(
         victim = cluster.servers[victim_id]
         peers = [j for j in range(code.N) if j != victim_id]
         sinks = {j: _AckSink() for j in peers}
+        conn_ids = {j: 1000 + j for j in peers}
         streams = {}
+        # the acks the victim piggybacks on its runs to the real peers
+        carried = {j: [] for j in peers}
+        real_write = _SOCKET_TRANSPORT.write
+
+        def write(transport, data):
+            dialled, _ = _owner(victim, transport)
+            if dialled is not None:
+                carried[dialled] += [
+                    f[3:] for f in _frames([bytes(data)]) if f[0] == "d" and len(f) == 5
+                ]
+            return real_write(transport, data)
+
+        monkeypatch.setattr(_SOCKET_TRANSPORT, "write", write)
         for j in peers:
-            # a connection from peer j: its hello, then every frame it
-            # "sent", arriving in one read
-            hello = ("hp", j, 0, victim.core.cfg_epoch, per_peer)
-            frames = [hello]
+            # a connection from peer j: its hello, then every message it
+            # "sent", in two runs, arriving in one read
+            hello = ("hp", j, 0, victim.core.cfg_epoch, per_peer, conn_ids[j])
+            msgs = []
             for seq in range(1, per_peer + 1):
                 ts = VectorClock.zero(code.N).with_component(j, seq)
-                msg = App(seq % code.K, cluster.value(10 * j + seq), Tag(ts, 100 + j))
-                frames.append(("d", seq, msg))
-            streams[j] = wire.encode_frames(frames)
+                msgs.append(
+                    App(seq % code.K, cluster.value(10 * j + seq), Tag(ts, 100 + j))
+                )
+            half = per_peer // 2
+            streams[j] = wire.encode_frames(
+                [hello, ("d", 1, msgs[:half]), ("d", half + 1, msgs[half:])]
+            )
         # the victim's disk halves only: its released frames reach the
         # other servers at once, and their commits fsync too
         fsyncs = 0
@@ -497,14 +633,18 @@ def test_one_iteration_of_peer_frames_is_one_checkpoint_and_one_ack_per_peer(
         vc = victim.core.vc.components
         checkpoint = cluster.store.load(victim_id)
         await cluster.shutdown()
-        return wrote, fsynced, sinks, vc, checkpoint, peers
+        return wrote, fsynced, sinks, carried, conn_ids, vc, checkpoint, peers
 
-    wrote, fsyncs, sinks, vc, checkpoint, peers = asyncio.run(run())
+    wrote, fsyncs, sinks, carried, conn_ids, vc, checkpoint, peers = asyncio.run(run())
     assert wrote == 1 and fsyncs == 2  # its first write: slot + directory, once
     for j in peers:
-        # one cumulative ack per peer, carrying the final watermark
-        assert _frames(sinks[j].writes) == [("a", per_peer)]
-        assert len(sinks[j].writes) == 1
+        # one cumulative ack per peer, carrying the final watermark: on
+        # its own, or in the victim's run to that peer under the id of
+        # the connection the peer dialled
+        acks = [f[1:] for f in _frames(sinks[j].writes)]
+        acks += [(upto,) for conn, upto in carried[j] if conn == conn_ids[j]]
+        assert acks == [(per_peer,)], j
+        assert len(sinks[j].writes) <= 1
         assert vc[j] == per_peer
         assert checkpoint.transport["recv"][j] == per_peer
     assert checkpoint.state["vc"].components == vc
@@ -846,7 +986,10 @@ def test_a_failed_disk_half_releases_nothing_and_the_next_commit_everything_once
                         wrote.append(("m", frame[1].opid, writes_so_far()))
                     elif frame[0] == "d":
                         peer = transport.get_extra_info("peername")
-                        wrote.append(("d", peer, frame[1]))
+                        wrote.extend(
+                            ("d", peer, seq)
+                            for seq in range(frame[1], frame[1] + len(frame[2]))
+                        )
             return real_write(transport, data)
 
         monkeypatch.setattr(_SOCKET_TRANSPORT, "write", write)
