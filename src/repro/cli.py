@@ -11,7 +11,8 @@ Commands:
   the online causal auditor attached.
 * ``reconfig`` -- live dynamic-membership demo: add, remove, or
   (auto-)replace a server under traffic, epoch-fenced, audited.
-* ``cluster`` -- boot a live asyncio TCP cluster on localhost sockets.
+* ``cluster`` -- boot a live asyncio TCP cluster on localhost sockets,
+  inject faults from flags, and judge it like ``chaos`` does.
 * ``chaos``   -- seeded chaos soaks against the live asyncio runtime.
 * ``scrub``   -- seeded corruption chaos (frame damage, codeword rot,
   checkpoint rot) under the bit-rot scrubber, in the simulator.
@@ -240,302 +241,161 @@ def cmd_reconfig(args: argparse.Namespace) -> int:
 
     import numpy as np
 
-    from repro.consistency.causal import check_causal_consistency
     from repro.protocol.client_core import RetryPolicy
     from repro.protocol.failure_detector import FailureDetectorConfig
     from repro.protocol.repair_core import RepairConfig
     from repro.protocol.server_core import ServerConfig
-    from repro.runtime.asyncio_rt import AsyncioCluster
-    from repro.runtime.auditor import OnlineAuditor
+    from repro.runtime.live_chaos import live_cluster, verdict
 
     code = _cli_code(args.code)
     if not 0 <= args.server < code.N:
         print(f"error: --server must be in [0, {code.N})", file=sys.stderr)
         return 2
+    detector = None
+    if args.action == "replace":
+        # replace is driven end-to-end by the detector's confirmed-dead
+        # escalation: kill the server forever, wait for auto-replace
+        detector = FailureDetectorConfig(
+            heartbeat_interval=25.0,
+            suspect_after=60.0,
+            confirm_after=args.confirm_after,
+        )
 
     async def run() -> int:
-        auditor = OnlineAuditor()
-        await auditor.start()
-        detector = None
-        if args.action == "replace":
-            # replace is driven end-to-end by the detector's confirmed-dead
-            # escalation: kill the server forever, wait for auto-replace
-            detector = FailureDetectorConfig(
-                heartbeat_interval=25.0,
-                suspect_after=60.0,
-                confirm_after=args.confirm_after,
-            )
-        cluster = AsyncioCluster(
+        async with live_cluster(
             code,
             config=ServerConfig(gc_interval=args.gc_interval),
             retry=RetryPolicy(timeout=250.0, max_retries=6),
             detector=detector,
-            audit_addr=auditor.address,
             repair=RepairConfig(digest_interval=60.0),
             auto_replace=args.action == "replace",
-        )
-        await cluster.start()
-        print(f"booted {code.N} servers ({code.name}) at cfg epoch 0")
-        clients = [
-            await cluster.add_client(i, node_id=100 + i)
-            for i in range(code.N)
-        ]
-        rng = np.random.default_rng(args.seed)
-        failed = 0
+        ) as (cluster, auditor, _):
+            print(f"booted {code.N} servers ({code.name}) at cfg epoch 0")
+            clients = [
+                await cluster.add_client(i, node_id=100 + i)
+                for i in range(code.N)
+            ]
+            rng = np.random.default_rng(args.seed)
+            failed = 0
 
-        async def traffic(n: int) -> None:
-            nonlocal failed
-            for _ in range(n):
-                client = clients[int(rng.integers(code.N))]
-                home = client.core.server_id
-                if home < len(cluster.servers) and cluster.servers[home].halted:
-                    continue  # its home server is down mid-change
-                obj = int(rng.integers(code.K))
-                if rng.random() < 0.5:
-                    op = await client.write(
-                        obj, cluster.value(int(rng.integers(100)))
-                    )
-                else:
-                    op = await client.read(obj)
-                failed += bool(op.failed)
+            async def traffic(n: int) -> None:
+                nonlocal failed
+                for _ in range(n):
+                    client = clients[int(rng.integers(code.N))]
+                    home = client.core.server_id
+                    if home < len(cluster.servers) and cluster.servers[home].halted:
+                        continue  # its home server is down mid-change
+                    obj = int(rng.integers(code.K))
+                    if rng.random() < 0.5:
+                        op = await client.write(
+                            obj, cluster.value(int(rng.integers(100)))
+                        )
+                    else:
+                        op = await client.read(obj)
+                    failed += bool(op.failed)
 
-        await traffic(args.ops // 2)
-        if args.action == "add":
-            if args.code == "six-dc":
-                from repro.analysis import Topology
-                from repro.analysis.happiness import rank_domains
-                from repro.ec.codes import extend_code
+            await traffic(args.ops // 2)
+            if args.action == "add":
+                if args.code == "six-dc":
+                    from repro.analysis import Topology
+                    from repro.analysis.happiness import rank_domains
+                    from repro.ec.codes import extend_code
 
-                topo = Topology.aws_six_dc()
-                preview = extend_code(code, 0xCEC0DE)
-                ranked = rank_domains(preview, list(range(code.N)))
-                (div, hap), best = ranked[0]
-                print(f"happiness placement: joiner row lands best in "
-                      f"{topo.names[best]} (diversity {div}, happiness {hap})")
-            joiner = await cluster.add_server()
-            print(f"epoch {cluster.cfg_epoch}: joined server "
-                  f"{joiner.core.node_id} (code {joiner.core.code.name}); "
-                  f"anti-entropy is re-encoding its row ...")
-        elif args.action == "remove":
-            await cluster.remove_server(args.server)
-            print(f"epoch {cluster.cfg_epoch}: removed server {args.server} "
-                  f"(survivors cover every object)")
-        else:
-            print(f"killing server {args.server} forever ...")
-            await cluster.kill_server(args.server, forever=True)
-            deadline = asyncio.get_running_loop().time() + 30.0
-            while (
-                cluster.cfg_epoch == 0 or cluster.servers[args.server].halted
-            ):
-                if asyncio.get_running_loop().time() > deadline:
-                    print("error: auto-replace never fired", file=sys.stderr)
-                    return 1
-                await asyncio.sleep(0.05)
-            print(f"epoch {cluster.cfg_epoch}: detector confirmed server "
-                  f"{args.server} dead; auto-replaced with a fresh machine "
-                  f"on the same endpoint")
-        await traffic(args.ops - args.ops // 2)
-        await asyncio.sleep(args.heal)  # anti-entropy heals new incarnations
-        await cluster.quiesce()
-        completed = [op for op in cluster.history.operations if op.done]
-        check_causal_consistency(cluster.history, code.zero_value())
-        print(f"{len(completed)} operations completed ({failed} failed "
-              f"fast), causally consistent")
-        rs = cluster.repair_stats()
-        print(f"repair: {int(rs.get('rounds_completed', 0))} round(s), "
-              f"{int(rs.get('entries_installed', 0))} install(s), "
-              f"{int(rs.get('bits_shipped', 0)) // 8} bytes shipped")
-        for note, epoch, members, joiner_id in cluster.reconfig_log:
-            extra = f", joiner {joiner_id}" if joiner_id is not None else ""
-            print(f"  epoch {epoch}: {note} -> members {list(members)}{extra}")
-        fenced = sum(s.reconfig.stats.frames_fenced for s in cluster.servers)
-        if fenced:
-            print(f"fencing: {fenced} stale-epoch hello(s) rejected")
-        violations = auditor.finalize()
-        print(f"online auditor: {auditor.checker.records_ingested} records, "
-              f"{len(violations)} violation(s)")
-        for v in violations:
-            print(f"  auditor violation: {v.kind}: {v.detail}")
-        await cluster.shutdown()
-        await auditor.close()
-        return 1 if violations else 0
+                    topo = Topology.aws_six_dc()
+                    preview = extend_code(code, 0xCEC0DE)
+                    ranked = rank_domains(preview, list(range(code.N)))
+                    (div, hap), best = ranked[0]
+                    print(f"happiness placement: joiner row lands best in "
+                          f"{topo.names[best]} (diversity {div}, "
+                          f"happiness {hap})")
+                joiner = await cluster.add_server()
+                print(f"epoch {cluster.cfg_epoch}: joined server "
+                      f"{joiner.core.node_id} (code {joiner.core.code.name});"
+                      f" anti-entropy is re-encoding its row ...")
+            elif args.action == "remove":
+                await cluster.remove_server(args.server)
+                print(f"epoch {cluster.cfg_epoch}: removed server "
+                      f"{args.server} (survivors cover every object)")
+            else:
+                print(f"killing server {args.server} forever ...")
+                await cluster.kill_server(args.server, forever=True)
+                deadline = asyncio.get_running_loop().time() + 30.0
+                while cluster.cfg_epoch == 0 or cluster.servers[args.server].halted:
+                    if asyncio.get_running_loop().time() > deadline:
+                        print("error: auto-replace never fired", file=sys.stderr)
+                        return 1
+                    await asyncio.sleep(0.05)
+                print(f"epoch {cluster.cfg_epoch}: detector confirmed server "
+                      f"{args.server} dead; auto-replaced with a fresh "
+                      f"machine on the same endpoint")
+            await traffic(args.ops - args.ops // 2)
+            await asyncio.sleep(args.heal)  # anti-entropy heals new incarnations
+            await cluster.quiesce()
+            rs = cluster.repair_stats()
+            print(f"repair: {int(rs.get('rounds_completed', 0))} round(s), "
+                  f"{int(rs.get('entries_installed', 0))} install(s), "
+                  f"{int(rs.get('bits_shipped', 0)) // 8} bytes shipped")
+            for note, epoch, members, joiner_id in cluster.reconfig_log:
+                extra = f", joiner {joiner_id}" if joiner_id is not None else ""
+                print(f"  epoch {epoch}: {note} -> members {list(members)}{extra}")
+            fenced = sum(s.reconfig.stats.frames_fenced for s in cluster.servers)
+            if fenced:
+                print(f"fencing: {fenced} stale-epoch hello(s) rejected")
+            violations = await verdict(cluster, auditor)
+            completed = sum(op.done for op in cluster.history.operations)
+            print(f"reconfig {args.action}: "
+                  f"{'FAIL' if violations else 'OK'} ({completed} operations "
+                  f"completed, {failed} failed fast; auditor ingested "
+                  f"{auditor.checker.records_ingested} record(s), "
+                  f"{len(violations)} violation(s))")
+            for v in violations:
+                print(f"  violation: {v}")
+            return 1 if violations else 0
 
     return asyncio.run(run())
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    """Boot a live N-server asyncio cluster on localhost and drive it."""
-    import asyncio
-
-    import numpy as np
-
-    from repro.consistency.causal import check_causal_consistency
-    from repro.protocol.client_core import RetryPolicy
-    from repro.protocol.failure_detector import FailureDetectorConfig
+    """Boot a live cluster, inject the faults the flags name, and judge it
+    with :func:`~repro.runtime.live_chaos.run_live_chaos` on a schedule built
+    from the flags; exit 1 unless it is causally consistent and converges."""
     from repro.protocol.repair_core import RepairConfig
     from repro.protocol.scrub_core import ScrubConfig
-    from repro.protocol.server_core import ServerConfig
-    from repro.runtime.asyncio_rt import AsyncioCluster
-    from repro.runtime.auditor import OnlineAuditor
-    from repro.runtime.chaos_rt import LiveFaultInjector
-    from repro.runtime.supervisor import RestartPolicy, Supervisor
-    from repro.sim.network import LinkFaults
+    from repro.runtime.live_chaos import run_live_chaos
+    from repro.sim.chaos import ChaosConfig, ChaosSchedule
 
     code = _cli_code(args.code)
-
-    async def run() -> int:
-        auditor = None
-        if args.audit:
-            auditor = OnlineAuditor()
-            await auditor.start()
-        chaos = None
-        if args.drop > 0 or args.dup > 0 or args.corrupt > 0:
-            chaos = LiveFaultInjector(
-                LinkFaults(drop_prob=args.drop, dup_prob=args.dup,
-                           corrupt_prob=args.corrupt, seed=args.seed),
-                jitter_ms=args.jitter,
-            )
-        cluster = AsyncioCluster(
-            code,
-            config=ServerConfig(gc_interval=args.gc_interval),
-            retry=RetryPolicy(timeout=40.0, max_retries=8),
-            chaos=chaos,
-            detector=FailureDetectorConfig() if args.detector else None,
-            audit_addr=auditor.address if auditor else None,
-            repair=(
-                RepairConfig(digest_interval=args.repair_interval)
-                if args.repair
-                else None
-            ),
-            scrub=(
-                ScrubConfig(interval=args.scrub_interval)
-                if args.scrub_interval
-                else None
-            ),
-        )
-        await cluster.start()
-        ports = [s.port for s in cluster.servers]
-        print(f"booted {code.N} servers on localhost ports {ports}")
-        supervisor = None
-        if args.supervise:
-            supervisor = Supervisor(
-                cluster,
-                RestartPolicy(initial_delay=args.restart_delay,
-                              backoff=args.restart_backoff),
-            )
-            supervisor.start()
-            print(f"supervisor armed (initial delay {args.restart_delay}s, "
-                  f"backoff x{args.restart_backoff})")
-        clients = [
-            await cluster.add_client(i, failover=args.detector)
-            for i in range(code.N)
-        ]
-        rng = np.random.default_rng(args.seed)
-        crashes = sorted(args.crash or [])
-        # crash injections spread evenly across the workload
-        crash_at = {
-            (args.ops * (k + 1)) // (len(crashes) + 1): victim
+    crashes = args.crash or []
+    if not all(0 <= victim < code.N for victim in crashes):
+        print(f"error: --crash must be in [0, {code.N})", file=sys.stderr)
+        return 2
+    cfg = ChaosConfig(ops_per_client=args.ops, gc_interval=args.gc_interval)
+    # crashes spread evenly over the first 60 % of the fault window, where
+    # ChaosSchedule.generate draws its own; the supervisor restarts them
+    reach = 0.6 * (cfg.fault_end - cfg.fault_start)
+    schedule = ChaosSchedule(
+        seed=args.seed,
+        drop_prob=args.drop,
+        dup_prob=args.dup,
+        corrupt_prob=args.corrupt,
+        crashes=[
+            (cfg.fault_start + reach * (k + 1) / (len(crashes) + 1),
+             cfg.fault_end, victim)
             for k, victim in enumerate(crashes)
-        }
-        kill_at = args.ops // 2 if args.kill is not None else None
-        for n in range(args.ops):
-            if n == kill_at:
-                print(f"killing server {args.kill} mid-workload ...")
-                await cluster.kill_server(args.kill)
-            if n in crash_at:
-                victim = crash_at[n]
-                if supervisor is not None:
-                    print(f"injecting crash of server {victim} ...")
-                    await supervisor.inject_crash(victim)
-                else:
-                    print(f"killing server {victim} (no supervisor: down "
-                          f"until the workload ends) ...")
-                    await cluster.kill_server(victim)
-            client = clients[int(rng.integers(code.N))]
-            if client.core.server_id < code.N \
-                    and cluster.servers[client.core.server_id].halted \
-                    and not args.detector:
-                continue  # its home server is down; skip, not hang
-            obj = int(rng.integers(code.K))
-            if rng.random() < 0.5:
-                op = await client.write(obj, cluster.value(int(rng.integers(100))))
-            else:
-                op = await client.read(obj)
-            if op.failed:
-                print(f"  op {op.opid} failed fast: {op.error}")
-        if kill_at is not None:
-            await cluster.restart_server(args.kill)
-            print(f"server {args.kill} restarted from its durable checkpoint")
-        if supervisor is not None:
-            deadline = asyncio.get_running_loop().time() + 15.0
-            while any(s.halted for s in cluster.servers):
-                if asyncio.get_running_loop().time() > deadline:
-                    print("error: supervisor failed to heal the cluster",
-                          file=sys.stderr)
-                    return 1
-                await asyncio.sleep(0.05)
-        elif crashes:
-            for victim in crashes:
-                if cluster.servers[victim].halted:
-                    await cluster.restart_server(victim)
-        if chaos is not None:
-            chaos.disable()
-        await cluster.quiesce()
-        completed = [op for op in cluster.history.operations if op.done]
-        check_causal_consistency(cluster.history, code.zero_value())
-        lat = [op.latency for op in completed]
-        print(f"{len(completed)} operations completed, causally consistent")
-        if lat:
-            print(f"latency: mean {np.mean(lat):.2f} ms, "
-                  f"max {np.max(lat):.2f} ms (real sockets, localhost)")
-        written = sum(cluster.store.persist_counts.values())
-        skipped = sum(cluster.store.skip_counts.values())
-        print(f"durable persists: {written + skipped} commits, {written} "
-              f"written, {skipped} skipped (state unchanged)")
-        if chaos is not None:
-            print(f"chaos: {chaos.dropped} dropped, {chaos.duplicated} "
-                  f"duplicated, {chaos.delayed} delayed, "
-                  f"{chaos.corrupted} corrupted frames")
-        if args.detector:
-            suspects = sum(
-                1 for _, _, k in cluster.detector_transitions if k == "suspect"
-            )
-            print(f"failure detector: {suspects} suspicion(s), "
-                  f"{sum(len(c.switch_log) for c in clients)} client "
-                  f"failover(s)")
-        if args.repair:
-            rs = cluster.repair_stats()
-            print(f"repair: {int(rs.get('rounds_completed', 0))} round(s), "
-                  f"{int(rs.get('entries_installed', 0))} install(s), "
-                  f"{int(rs.get('bits_shipped', 0)) // 8} bytes shipped")
-        if args.scrub_interval:
-            ss = cluster.scrub_stats()
-            print(f"scrub: {int(ss.get('rounds', 0))} round(s), "
-                  f"{int(ss.get('symbols_verified', 0))} symbol(s) and "
-                  f"{int(ss.get('checkpoints_verified', 0))} checkpoint(s) "
-                  f"verified, "
-                  f"{int(ss.get('integrity_quarantines', 0))} quarantine(s), "
-                  f"{int(ss.get('healed', 0))} healed, "
-                  f"{int(ss.get('frames_corrupt', 0))} CRC rejection(s), "
-                  f"{int(ss.get('checkpoint_reports', 0))} checkpoint "
-                  f"report(s)")
-        if supervisor is not None:
-            print(f"supervisor: {sum(supervisor.restarts.values())} "
-                  f"restart(s)")
-            await supervisor.stop()
-        if auditor is not None:
-            violations = auditor.finalize()
-            print(f"online auditor: {auditor.checker.records_ingested} "
-                  f"records, {len(violations)} violation(s)")
-            for v in violations:
-                print(f"  auditor violation: {v.kind}: {v.detail}")
-            await cluster.shutdown()
-            await auditor.close()
-            return 1 if violations else 0
-        await cluster.shutdown()
-        return 0
-
-    return asyncio.run(run())
+        ],
+    )
+    result = run_live_chaos(
+        code, args.seed, config=cfg,
+        jitter_ms=args.jitter,
+        repair=RepairConfig() if args.repair else None,
+        scrub=(
+            ScrubConfig(interval=args.scrub_interval)
+            if args.scrub_interval else None
+        ),
+        schedule=schedule,
+    )
+    print(result.summary())
+    return 0 if result.ok else 1
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -710,34 +570,20 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=cmd_reconfig)
 
     p = sub.add_parser(
-        "cluster", help="boot a live asyncio TCP cluster on localhost"
+        "cluster",
+        help="boot a live asyncio TCP cluster on localhost, inject faults, "
+             "and judge it (supervisor, detector and auditor attached)",
     )
     p.add_argument("--code", default="example1", choices=["example1", "six-dc"])
-    p.add_argument("--ops", type=int, default=24)
+    p.add_argument("--ops", type=int, default=5,
+                   help="operations per client")
     p.add_argument("--gc-interval", type=float, default=25.0)
-    p.add_argument("--kill", type=int, default=None, metavar="SERVER",
-                   help="crash this server mid-workload, then restart it")
     p.add_argument("--crash", type=int, action="append", metavar="SERVER",
-                   help="inject a crash of this server mid-workload "
-                        "(repeatable); with --supervise the supervisor "
-                        "restarts it with exponential backoff")
-    p.add_argument("--supervise", action="store_true",
-                   help="run a supervisor that auto-restarts crashed servers")
-    p.add_argument("--restart-delay", type=float, default=0.1,
-                   help="supervisor initial restart delay in seconds")
-    p.add_argument("--restart-backoff", type=float, default=2.0,
-                   help="supervisor restart delay multiplier")
-    p.add_argument("--detector", action="store_true",
-                   help="run heartbeat failure detectors and give clients "
-                        "read failover to other servers")
+                   help="crash this server mid-workload (repeatable); the "
+                        "supervisor restarts it with exponential backoff")
     p.add_argument("--repair", action="store_true",
                    help="run the anti-entropy repair overlay (digest "
                         "gossip + background symbol re-encoding)")
-    p.add_argument("--repair-interval", type=float, default=100.0,
-                   help="repair digest gossip interval in ms")
-    p.add_argument("--audit", action="store_true",
-                   help="stream decision logs to an online causal-"
-                        "consistency auditor; exit 1 on any violation")
     p.add_argument("--drop", type=float, default=0.0,
                    help="per-frame drop probability on server channels")
     p.add_argument("--dup", type=float, default=0.0,

@@ -831,8 +831,10 @@ class _PeerChannel:
     Commit barrier: frames surviving chaos are *held* in ``_pending``
     (their state change is not on disk yet) until the server's commit
     takes them (:meth:`detach`) and, once durable, writes them in one
-    ``transport.write`` (:meth:`release`).  Acks, fence responses and flow
-    control come back through the connection's :class:`_Dialed` protocol:
+    ``transport.write`` (:meth:`release`).  Acks come back standalone on
+    the connection's :class:`_Dialed` protocol or piggybacked in the
+    peer's run frames on our listener (:meth:`AsyncioServer._peer_frame`);
+    fence responses and flow control come through :class:`_Dialed`:
     while it is paused, data frames are not enqueued at all (``unacked``
     holds them; the resume replays the skipped tail) and gossip is shed.
     FIFO order holds: ``_pending`` keeps append order, only ``release``
@@ -1057,8 +1059,9 @@ class _PeerChannel:
 
 
 class _Dialed(_Framed):
-    """The connection a :class:`_PeerChannel` dialled: acks and fence
-    responses in, flow control from the transport."""
+    """The connection a :class:`_PeerChannel` dialled: standalone acks and
+    fence responses in, flow control from the transport (acks piggybacked
+    on the peer's run frames arrive on the listener, in ``_peer_frame``)."""
 
     def __init__(self, channel: _PeerChannel):
         super().__init__(channel.server)

@@ -30,6 +30,7 @@ dumps for CI on failure.
 from __future__ import annotations
 
 import asyncio
+from contextlib import AsyncExitStack, asynccontextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,7 +53,7 @@ from .auditor import OnlineAuditor
 from .chaos_rt import LiveFaultInjector
 from .supervisor import RestartPolicy, Supervisor
 
-__all__ = ["LiveChaosResult", "run_live_chaos"]
+__all__ = ["LiveChaosResult", "live_cluster", "run_live_chaos", "verdict"]
 
 #: extra rng stream salts (distinct from ChaosSchedule's 0xC4A05 and the
 #: injector's lane salt, so live-only decisions never perturb the schedule)
@@ -94,6 +95,7 @@ class LiveChaosResult:
             f"live chaos seed {self.seed}: {verdict} "
             f"(drop={self.schedule.drop_prob:.2f}, "
             f"dup={self.schedule.dup_prob:.2f}, "
+            f"corrupt={self.schedule.corrupt_prob:.2f}, "
             f"partitions={len(self.schedule.partitions)}, "
             f"crashes={len(self.schedule.crashes)})",
             f"  ops: {self.completed} completed, {self.failed} failed fast",
@@ -134,16 +136,6 @@ class LiveChaosResult:
         return "\n".join(lines)
 
 
-async def _drain_audit(auditor: OnlineAuditor, rounds: int = 5, poll: float = 0.03):
-    """Wait until the auditor's record count stops moving."""
-    stable, last = 0, -1
-    while stable < rounds:
-        await asyncio.sleep(poll)
-        n = auditor.records_received
-        stable = stable + 1 if n == last else 0
-        last = n
-
-
 async def _client_workload(client, cluster, cfg, seed, index, scale):
     """One client's seeded op stream; returns (completed, failed)."""
     rng = np.random.default_rng((seed, _WORKLOAD_SALT, index))
@@ -169,8 +161,61 @@ async def _client_workload(client, cluster, cfg, seed, index, scale):
     return completed, failed
 
 
-async def _run(code, seed, cfg, time_scale, jitter_ms, artifact_dir, repair, scrub):
-    schedule = ChaosSchedule.generate(seed, code.N, cfg)
+@asynccontextmanager
+async def live_cluster(code, *, supervise=None, **cluster_kwargs):
+    """Boot an auditor, ``AsyncioCluster(code, **cluster_kwargs)`` streaming
+    to it, and a supervisor (``supervise``, a :class:`RestartPolicy`);
+    yield ``(cluster, auditor, supervisor)``.
+
+    On any exit -- return, exception or cancellation -- the supervisor is
+    stopped, the cluster shut down and the auditor closed, in that order,
+    each even if an earlier step raised.
+    """
+    async with AsyncExitStack() as stack:
+        auditor = OnlineAuditor()
+        await auditor.start()
+        stack.push_async_callback(auditor.close)
+        cluster = AsyncioCluster(
+            code, audit_addr=auditor.address, **cluster_kwargs
+        )
+        stack.push_async_callback(cluster.shutdown)
+        await cluster.start()
+        supervisor = None
+        if supervise is not None:
+            supervisor = Supervisor(cluster, supervise)
+            stack.push_async_callback(supervisor.stop)
+            supervisor.start()
+        yield cluster, auditor, supervisor
+
+
+async def verdict(cluster, auditor) -> list[str]:
+    """Once the auditor's record count has stopped moving, its violations,
+    then the offline causal-consistency and returns-written-values checks;
+    raises nothing."""
+    stable, last = 0, -1
+    while stable < 5:
+        await asyncio.sleep(0.03)
+        n = auditor.records_received
+        stable = stable + 1 if n == last else 0
+        last = n
+    violations = [
+        f"auditor: {v.kind}: {v.detail}" for v in auditor.finalize()
+    ]
+    zero = cluster.code.zero_value()
+    violations += check_causal_consistency(
+        cluster.history, zero, raise_on_violation=False
+    )
+    violations += check_returns_written_values(
+        cluster.history, zero, raise_on_violation=False
+    )
+    return violations
+
+
+async def _run(
+    code, seed, cfg, time_scale, jitter_ms, artifact_dir, repair, scrub, schedule
+):
+    if schedule is None:
+        schedule = ChaosSchedule.generate(seed, code.N, cfg)
     if scrub is None and cfg.scrub_interval is not None:
         scrub = ScrubConfig(interval=cfg.scrub_interval * time_scale)
     faults = LinkFaults(
@@ -184,11 +229,10 @@ async def _run(code, seed, cfg, time_scale, jitter_ms, artifact_dir, repair, scr
     injector = LiveFaultInjector(
         faults, time_scale=time_scale, jitter_ms=jitter_ms
     )
-
-    auditor = OnlineAuditor()
-    await auditor.start()
-    cluster = AsyncioCluster(
+    artifacts: list[str] = []
+    async with live_cluster(
         code,
+        supervise=RestartPolicy(initial_delay=0.1, max_delay=1.0),
         config=ServerConfig(gc_interval=cfg.gc_interval),
         retry=RetryPolicy(
             timeout=cfg.retry_timeout * time_scale,
@@ -197,17 +241,9 @@ async def _run(code, seed, cfg, time_scale, jitter_ms, artifact_dir, repair, scr
         ),
         chaos=injector,
         detector=FailureDetectorConfig(),
-        audit_addr=auditor.address,
         repair=repair,
         scrub=scrub,
-    )
-    supervisor = Supervisor(
-        cluster, RestartPolicy(initial_delay=0.1, max_delay=1.0)
-    )
-    artifacts: list[str] = []
-    try:
-        await cluster.start()
-        supervisor.start()
+    ) as (cluster, auditor, supervisor):
         clients = [
             await cluster.add_client(i, failover=True) for i in range(code.N)
         ]
@@ -281,18 +317,8 @@ async def _run(code, seed, cfg, time_scale, jitter_ms, artifact_dir, repair, scr
                     )
                 )
         await cluster.quiesce(timeout=60.0)
-        await _drain_audit(auditor)
 
-        violations = [
-            f"auditor: {v.kind}: {v.detail}" for v in auditor.finalize()
-        ]
-        zero = code.zero_value()
-        violations += check_causal_consistency(
-            cluster.history, zero, raise_on_violation=False
-        )
-        violations += check_returns_written_values(
-            cluster.history, zero, raise_on_violation=False
-        )
+        violations = await verdict(cluster, auditor)
         if not converged:
             violations.append(
                 "no convergence after faults ceased: "
@@ -351,10 +377,6 @@ async def _run(code, seed, cfg, time_scale, jitter_ms, artifact_dir, repair, scr
             corrupted=injector.corrupted,
             scrub=scrub_totals,
         )
-    finally:
-        await supervisor.stop()
-        await cluster.shutdown()
-        await auditor.close()
 
 
 def run_live_chaos(
@@ -366,6 +388,7 @@ def run_live_chaos(
     artifact_dir: str | Path | None = None,
     repair: RepairConfig | None = None,
     scrub: ScrubConfig | None = None,
+    schedule: ChaosSchedule | None = None,
 ) -> LiveChaosResult:
     """Run one seeded chaos schedule against a live asyncio cluster.
 
@@ -379,9 +402,15 @@ def run_live_chaos(
     have been *detected* (CRC rejections, quarantines).  Returns a
     :class:`LiveChaosResult`; ``result.ok`` means zero auditor violations,
     clean offline checks, detected corruption, and a converged cluster.
+
+    ``schedule`` replaces the one ``seed`` generates (``repro cluster``
+    builds one from its flags); ``seed`` still drives the workload, the
+    link-fault lanes and the connection reset.
     """
     cfg = config or ChaosConfig()
-    result = asyncio.run(
-        _run(code, seed, cfg, time_scale, jitter_ms, artifact_dir, repair, scrub)
+    return asyncio.run(
+        _run(
+            code, seed, cfg, time_scale, jitter_ms, artifact_dir, repair,
+            scrub, schedule,
+        )
     )
-    return result

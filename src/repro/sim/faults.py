@@ -58,7 +58,7 @@ class FaultPlan:
       runtime: real bit flips in the file; simulator: the slot is marked
       rotted and fails verification, the same detection-level model).
     * ``torn_writes`` -- truncate the checkpoint mid-file, modelling a
-      crash between write and rename on a store without atomic replace.
+      crash that cuts a checkpoint slot's in-place overwrite short.
     """
 
     halts: list[tuple[float, int]] = field(default_factory=list)
@@ -89,7 +89,7 @@ class FaultPlan:
 
     def halt_forever(self, at_time: float, server: int) -> "FaultPlan":
         """Schedule a *permanent* failure: the server halts and is marked
-        never-coming-back (``repro chaos --kill-forever`` / auto-replace)."""
+        never-coming-back (supervisors skip it; auto-replace may claim it)."""
         self.kill_forevers.append(self._validate(at_time, server))
         return self
 

@@ -73,7 +73,7 @@ from repro.runtime.asyncio_rt import (
     _Inbound,
     _PeerChannel,
 )
-from repro.runtime.auditor import OnlineAuditor
+from repro.runtime.live_chaos import live_cluster
 
 from tests.test_live_batching import _frames
 from tests.test_live_integrity import _checkpoint
@@ -731,95 +731,89 @@ def test_crash_between_handler_and_commit_loses_only_what_nobody_saw():
     seed, per_client, kills = 20260928, 34, 3
 
     async def run():
-        auditor = OnlineAuditor()
-        await auditor.start()
-        cluster = AsyncioCluster(
+        async with live_cluster(
             code,
             config=ServerConfig(gc_interval=25.0),
             retry=RetryPolicy(timeout=60.0, backoff=1.3, max_retries=16),
-            audit_addr=auditor.address,
-        )
-        await cluster.start()
-        rng = np.random.default_rng(seed)
-        clients = [await cluster.add_client(i % code.N) for i in range(6)]
-        home = {c.node_id: c.core.server_id for c in clients}
-        total = per_client * len(clients)
-        victims = [int(v) for v in rng.choice(code.N, size=kills, replace=False)]
-        plans = [
-            [
-                (bool(rng.random() < 0.5), int(rng.integers(code.K)),
-                 int(rng.integers(1, 250)))
-                for _ in range(per_client)
+        ) as (cluster, auditor, _):
+            rng = np.random.default_rng(seed)
+            clients = [await cluster.add_client(i % code.N) for i in range(6)]
+            home = {c.node_id: c.core.server_id for c in clients}
+            total = per_client * len(clients)
+            victims = [int(v) for v in rng.choice(code.N, size=kills, replace=False)]
+            plans = [
+                [
+                    (bool(rng.random() < 0.5), int(rng.integers(code.K)),
+                     int(rng.integers(1, 250)))
+                    for _ in range(per_client)
+                ]
+                for _ in clients
             ]
-            for _ in clients
-        ]
 
-        async def session(client, ops):
-            for is_read, key, value in ops:
-                op = await (
-                    client.read(key) if is_read
-                    else client.write(key, cluster.value(value))
-                )
-                # a request the crash swallowed is retried and answered
-                assert not op.failed, op.error
+            async def session(client, ops):
+                for is_read, key, value in ops:
+                    op = await (
+                        client.read(key) if is_read
+                        else client.write(key, cluster.value(value))
+                    )
+                    # a request the crash swallowed is retried and answered
+                    assert not op.failed, op.error
 
-        sessions = [
-            asyncio.ensure_future(session(c, ops))
-            for c, ops in zip(clients, plans)
-        ]
-        crashes = []
-        for k, v in enumerate(victims):
-            while len(cluster.history) < total * (k + 1) // (kills + 1):
-                await asyncio.sleep(0.005)
-            crash = _CrashAtCommit(cluster, v)
-            await asyncio.wait_for(crash.crashed, 10.0)
-            crashes.append(crash)
-            server = cluster.servers[v]
-            # nothing held was written, nothing dirty reached the disk
-            assert server.frames_sent == crash.frames_sent
-            assert cluster.store.persist_counts.get(v, 0) == crash.disk_writes
-            assert not server._dirty and not server._held_replies
-            assert not server._held_acks
-            # records of events nobody saw are gone from the audit log
-            assert len(server._audit_log) == server._audit_durable
-            assert server._audit_durable <= crash.audit_len
-            # the commit the dead incarnation had scheduled is a no-op
-            server._commit(crash.epoch)
-            assert cluster.store.persist_counts.get(v, 0) == crash.disk_writes
-            assert server.frames_sent == crash.frames_sent
-            on_disk = _vc_on_disk(cluster, v)
-            released = [
-                op.ts for op in cluster.history.completed()
-                if home[op.client_id] == v
+            sessions = [
+                asyncio.ensure_future(session(c, ops))
+                for c, ops in zip(clients, plans)
             ]
-            await cluster.restart_server(v)
-            # it comes back with the clock of its last commit: behind what
-            # it only had in memory, never behind a reply it released
-            assert server.core.vc == on_disk
-            assert on_disk.leq(crash.vc_in_memory)
-            assert all(ts.leq(on_disk) for ts in released)
-        await asyncio.gather(*sessions)
+            crashes = []
+            for k, v in enumerate(victims):
+                while len(cluster.history) < total * (k + 1) // (kills + 1):
+                    await asyncio.sleep(0.005)
+                crash = _CrashAtCommit(cluster, v)
+                await asyncio.wait_for(crash.crashed, 10.0)
+                crashes.append(crash)
+                server = cluster.servers[v]
+                # nothing held was written, nothing dirty reached the disk
+                assert server.frames_sent == crash.frames_sent
+                assert cluster.store.persist_counts.get(v, 0) == crash.disk_writes
+                assert not server._dirty and not server._held_replies
+                assert not server._held_acks
+                # records of events nobody saw are gone from the audit log
+                assert len(server._audit_log) == server._audit_durable
+                assert server._audit_durable <= crash.audit_len
+                # the commit the dead incarnation had scheduled is a no-op
+                server._commit(crash.epoch)
+                assert cluster.store.persist_counts.get(v, 0) == crash.disk_writes
+                assert server.frames_sent == crash.frames_sent
+                on_disk = _vc_on_disk(cluster, v)
+                released = [
+                    op.ts for op in cluster.history.completed()
+                    if home[op.client_id] == v
+                ]
+                await cluster.restart_server(v)
+                # it comes back with the clock of its last commit: behind what
+                # it only had in memory, never behind a reply it released
+                assert server.core.vc == on_disk
+                assert on_disk.leq(crash.vc_in_memory)
+                assert all(ts.leq(on_disk) for ts in released)
+            await asyncio.gather(*sessions)
 
-        await cluster.quiesce()
-        # the peers' unacked tails were redelivered, and acked
-        for s in cluster.servers:
-            for j, ch in s._channels.items():
-                assert not ch.unacked, f"{s.node_id}->{j} still unacked"
-                assert cluster.servers[j]._recv_last.get(s.node_id, 0) == ch.seq
-        # ... exactly once: no write is in any server's durable audit log
-        # twice (a double apply would log it twice)
-        for s in cluster.servers:
-            applied = [
-                (r.obj, r.tag) for r in s._audit_log
-                if r.kind in ("write", "apply")
-            ]
-            assert len(applied) == len(set(applied))
-        await asyncio.sleep(0.1)  # let the audit streams drain
-        violations = auditor.finalize()
-        history = cluster.history
-        await cluster.shutdown()
-        await auditor.close()
-        return crashes, violations, history
+            await cluster.quiesce()
+            # the peers' unacked tails were redelivered, and acked
+            for s in cluster.servers:
+                for j, ch in s._channels.items():
+                    assert not ch.unacked, f"{s.node_id}->{j} still unacked"
+                    assert cluster.servers[j]._recv_last.get(s.node_id, 0) == ch.seq
+            # ... exactly once: no write is in any server's durable audit log
+            # twice (a double apply would log it twice)
+            for s in cluster.servers:
+                applied = [
+                    (r.obj, r.tag) for r in s._audit_log
+                    if r.kind in ("write", "apply")
+                ]
+                assert len(applied) == len(set(applied))
+            await asyncio.sleep(0.1)  # let the audit streams drain
+            violations = auditor.finalize()
+            history = cluster.history
+            return crashes, violations, history
 
     crashes, violations, history = asyncio.run(run())
     assert len(crashes) == 3
@@ -848,97 +842,91 @@ def test_crash_at_every_point_of_an_in_flight_commit(monkeypatch, point, error):
     victim = 2
 
     async def run():
-        auditor = OnlineAuditor()
-        await auditor.start()
-        cluster = AsyncioCluster(
+        async with live_cluster(
             code,
             config=ServerConfig(gc_interval=25.0),
             retry=RetryPolicy(timeout=60.0, backoff=1.3, max_retries=16),
-            audit_addr=auditor.address,
-        )
-        gate = _DiskGate(monkeypatch, cluster.store, victim, point, error)
-        await cluster.start()
-        clients = [await cluster.add_client(s) for s in (victim, victim, 0, 4)]
-        home = {c.node_id: c.core.server_id for c in clients}
-        for k, client in enumerate(clients):
-            op = await client.write(k % code.K, cluster.value(k + 1))
-            assert not op.failed
-        await cluster.quiesce()
-        server = cluster.servers[victim]
+        ) as (cluster, auditor, _):
+            gate = _DiskGate(monkeypatch, cluster.store, victim, point, error)
+            clients = [await cluster.add_client(s) for s in (victim, victim, 0, 4)]
+            home = {c.node_id: c.core.server_id for c in clients}
+            for k, client in enumerate(clients):
+                op = await client.write(k % code.K, cluster.value(k + 1))
+                assert not op.failed
+            await cluster.quiesce()
+            server = cluster.servers[victim]
 
-        async def session(i, client):
-            for k in range(6):
-                key = (i + k) % code.K
-                op = await (
-                    client.read(key) if k % 2
-                    else client.write(key, cluster.value(10 * (i + 1) + k))
-                )
-                # a request the crash swallowed is retried and answered
-                assert not op.failed, op.error
+            async def session(i, client):
+                for k in range(6):
+                    key = (i + k) % code.K
+                    op = await (
+                        client.read(key) if k % 2
+                        else client.write(key, cluster.value(10 * (i + 1) + k))
+                    )
+                    # a request the crash swallowed is retried and answered
+                    assert not op.failed, op.error
 
-        sessions = [
-            asyncio.ensure_future(session(i, c)) for i, c in enumerate(clients)
-        ]
-        stopped = _StopDiskAtCommit(cluster, victim, gate)
-        await _until(gate.reached.is_set)
-        assert all(stopped.held)  # the batch in flight has all three kinds
-        # let more pile up behind the write, and the flushers of earlier
-        # commits finish: from here on every byte of output is held
-        await _until(lambda: any(_held(server)))
-        await asyncio.sleep(0.03)
-        frames_sent = server.frames_sent
-        vc_in_memory = server.core.vc
-        disk_writes = cluster.store.persist_counts[victim]
-        audit_durable = server._audit_durable
-        vc_at_gate = _vc_on_disk(cluster, victim)
-        released = [
-            op.ts for op in cluster.history.completed()
-            if home[op.client_id] == victim
-        ]
-        kill = asyncio.ensure_future(cluster.kill_server(victim))
-        await asyncio.sleep(0.05)
-        assert not kill.done()  # waiting for the write it cannot stop
-        gate.resume.set()
-        await asyncio.wait_for(kill, 5.0)
+            sessions = [
+                asyncio.ensure_future(session(i, c)) for i, c in enumerate(clients)
+            ]
+            stopped = _StopDiskAtCommit(cluster, victim, gate)
+            await _until(gate.reached.is_set)
+            assert all(stopped.held)  # the batch in flight has all three kinds
+            # let more pile up behind the write, and the flushers of earlier
+            # commits finish: from here on every byte of output is held
+            await _until(lambda: any(_held(server)))
+            await asyncio.sleep(0.03)
+            frames_sent = server.frames_sent
+            vc_in_memory = server.core.vc
+            disk_writes = cluster.store.persist_counts[victim]
+            audit_durable = server._audit_durable
+            vc_at_gate = _vc_on_disk(cluster, victim)
+            released = [
+                op.ts for op in cluster.history.completed()
+                if home[op.client_id] == victim
+            ]
+            kill = asyncio.ensure_future(cluster.kill_server(victim))
+            await asyncio.sleep(0.05)
+            assert not kill.done()  # waiting for the write it cannot stop
+            gate.resume.set()
+            await asyncio.wait_for(kill, 5.0)
 
-        # nothing held was written, the batch in flight included
-        assert server.frames_sent == frames_sent
-        assert not server.committing and not server._dirty
-        assert _held(server) == (0, 0, 0)
-        assert len(server._audit_log) == server._audit_durable
-        landed = cluster.store.persist_counts[victim] - disk_writes
-        assert landed == (1 if error is None else 0)
-        on_disk = _vc_on_disk(cluster, victim)
-        if error is not None and point == "before-slot-write":
-            assert on_disk == vc_at_gate  # the old checkpoint, untouched
-        else:
-            # the slot was durable: the new checkpoint, released or not
-            assert on_disk == stopped.vc_in_memory
-        if error is not None:
-            assert server._audit_durable == audit_durable
-        else:
-            # the audit records of a checkpoint that landed stay with it
-            assert server._audit_durable == stopped.audit_len
-        # behind what it only had in memory, never behind a reply it released
-        assert on_disk.leq(vc_in_memory)
-        assert all(ts.leq(on_disk) for ts in released)
-        await cluster.restart_server(victim)
-        assert server.core.vc == on_disk
+            # nothing held was written, the batch in flight included
+            assert server.frames_sent == frames_sent
+            assert not server.committing and not server._dirty
+            assert _held(server) == (0, 0, 0)
+            assert len(server._audit_log) == server._audit_durable
+            landed = cluster.store.persist_counts[victim] - disk_writes
+            assert landed == (1 if error is None else 0)
+            on_disk = _vc_on_disk(cluster, victim)
+            if error is not None and point == "before-slot-write":
+                assert on_disk == vc_at_gate  # the old checkpoint, untouched
+            else:
+                # the slot was durable: the new checkpoint, released or not
+                assert on_disk == stopped.vc_in_memory
+            if error is not None:
+                assert server._audit_durable == audit_durable
+            else:
+                # the audit records of a checkpoint that landed stay with it
+                assert server._audit_durable == stopped.audit_len
+            # behind what it only had in memory, never behind a reply it released
+            assert on_disk.leq(vc_in_memory)
+            assert all(ts.leq(on_disk) for ts in released)
+            await cluster.restart_server(victim)
+            assert server.core.vc == on_disk
 
-        await asyncio.wait_for(asyncio.gather(*sessions), 30.0)
-        await cluster.quiesce()
-        # the restarted server serves every acknowledged write
-        for op in cluster.history.completed():
-            assert op.ts.leq(server.core.vc)
-        for key in range(code.K):
-            op = await clients[0].read(key)
-            assert not op.failed
-        await asyncio.sleep(0.1)  # let the audit streams drain
-        violations = auditor.finalize()
-        history = cluster.history
-        await cluster.shutdown()
-        await auditor.close()
-        return violations, history
+            await asyncio.wait_for(asyncio.gather(*sessions), 30.0)
+            await cluster.quiesce()
+            # the restarted server serves every acknowledged write
+            for op in cluster.history.completed():
+                assert op.ts.leq(server.core.vc)
+            for key in range(code.K):
+                op = await clients[0].read(key)
+                assert not op.failed
+            await asyncio.sleep(0.1)  # let the audit streams drain
+            violations = auditor.finalize()
+            history = cluster.history
+            return violations, history
 
     violations, history = asyncio.run(run())
     assert violations == []

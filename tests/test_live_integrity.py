@@ -60,9 +60,8 @@ from repro.runtime.asyncio_rt import (
     FileDurableStore,
     _TornCheckpoint,
 )
-from repro.runtime.auditor import OnlineAuditor
 from repro.runtime.chaos_rt import LiveFaultInjector
-from repro.runtime.live_chaos import run_live_chaos
+from repro.runtime.live_chaos import live_cluster, run_live_chaos, verdict
 from repro.sim.chaos import ChaosConfig
 from repro.sim.network import LinkFaults
 
@@ -233,79 +232,78 @@ def test_cluster_upgrades_in_place_from_int64_ckpt01_files(tmp_path):
     rng = np.random.default_rng(21)
 
     async def run():
-        auditor = OnlineAuditor()
-        await auditor.start()
-        cluster = AsyncioCluster(
+        async with live_cluster(
             code,
             config=ServerConfig(gc_interval=20.0),
             store_dir=tmp_path,
             retry=RetryPolicy(timeout=300.0, max_retries=8),
-            audit_addr=auditor.address,
-        )
-        await cluster.start()
-        clients = [await cluster.add_client(server=s) for s in range(code.N)]
-        written = {}
-        for i in range(12):
-            value = cluster.value(rng.integers(0, 257, code.value_len))
-            op = await clients[i % 3].write(i % code.K, value)
+        ) as (cluster, auditor, _):
+            clients = [await cluster.add_client(server=s) for s in range(code.N)]
+            written = {}
+            for i in range(12):
+                value = cluster.value(rng.integers(0, 257, code.value_len))
+                op = await clients[i % 3].write(i % code.K, value)
+                assert not op.failed
+                written[i % code.K] = value
+            op = await clients[4].read(1)  # a remote read leaves ValResps behind
             assert not op.failed
-            written[i % code.K] = value
-        op = await clients[4].read(1)  # a remote read leaves ValResps behind
-        assert not op.failed
-        await cluster.quiesce()
-        clocks = [s.core.vc for s in cluster.servers]
-        for s in range(code.N):
-            await cluster.kill_server(s)
-        sizes = []
-        for s in range(code.N):
-            # the directory an older build left: one file per server
-            slot = _slot_file(tmp_path, s)
-            new = slot.read_bytes()
-            old = checkpoint_v6(FileDurableStore._decode_checkpoint(new))
-            assert old.startswith(b"CECKPT01")
-            for path in tmp_path.glob(f"server_{s}.ckpt.[01]"):
-                path.unlink()
-            (tmp_path / f"server_{s}.ckpt").write_bytes(old)
-            sizes.append((len(new), len(old)))
-        for s in range(code.N):
-            await cluster.restart_server(s)
-        assert [s.core.vc for s in cluster.servers] == clocks
-        # every restored array is narrow before anything new is written
-        dtypes = {s.core.M.value.dtype for s in cluster.servers} | {
-            value.dtype
-            for s in cluster.servers
-            for hist in s.core.L.values()
-            for _, value in hist.items()
-        }
-        reads = []
-        for s in range(code.N):
-            probe = await cluster.add_client(server=s)
+            await cluster.quiesce()
+            clocks = [s.core.vc for s in cluster.servers]
+            for s in range(code.N):
+                await cluster.kill_server(s)
+            sizes = []
+            for s in range(code.N):
+                # the directory an older build left: one file per server
+                slot = _slot_file(tmp_path, s)
+                new = slot.read_bytes()
+                old = checkpoint_v6(FileDurableStore._decode_checkpoint(new))
+                assert old.startswith(b"CECKPT01")
+                for path in tmp_path.glob(f"server_{s}.ckpt.[01]"):
+                    path.unlink()
+                (tmp_path / f"server_{s}.ckpt").write_bytes(old)
+                sizes.append((len(new), len(old)))
+            for s in range(code.N):
+                await cluster.restart_server(s)
+            assert [s.core.vc for s in cluster.servers] == clocks
+            # every restored array is narrow before anything new is written
+            dtypes = {s.core.M.value.dtype for s in cluster.servers} | {
+                value.dtype
+                for s in cluster.servers
+                for hist in s.core.L.values()
+                for _, value in hist.items()
+            }
+            reads = []
+            for s in range(code.N):
+                probe = await cluster.add_client(server=s)
+                for k in range(code.K):
+                    op = await probe.read(k)
+                    assert not op.failed
+                    reads.append((k, op.value))
+            # one more write per object goes through every restored symbol
             for k in range(code.K):
-                op = await probe.read(k)
-                assert not op.failed
-                reads.append((k, op.value))
-        # one more write per object goes through every restored symbol
-        for k in range(code.K):
-            value = cluster.value(rng.integers(0, 257, code.value_len))
-            assert not (await clients[k].write(k, value)).failed
-            written[k] = value
-        await cluster.quiesce()
-        for s in (3, 4):
-            for k in range(code.K):
-                op = await clients[s].read(k)
-                assert not op.failed
-                reads.append((k, op.value))
-                assert np.array_equal(op.value, written[k])
-        await cluster.quiesce()
-        legacy = sorted(p.name for p in tmp_path.glob("server_?.ckpt"))
-        quarantines = sum(s.core.stats.integrity_quarantines for s in cluster.servers)
-        reports = list(cluster.store.corruption_reports)
-        await asyncio.sleep(0.1)  # let the audit streams drain
-        violations = auditor.finalize()
-        history = cluster.history
-        await cluster.shutdown()
-        await auditor.close()
-        return sizes, reads, dtypes, quarantines, reports, violations, history, legacy
+                value = cluster.value(rng.integers(0, 257, code.value_len))
+                assert not (await clients[k].write(k, value)).failed
+                written[k] = value
+            await cluster.quiesce()
+            for s in (3, 4):
+                for k in range(code.K):
+                    op = await clients[s].read(k)
+                    assert not op.failed
+                    reads.append((k, op.value))
+                    assert np.array_equal(op.value, written[k])
+            await cluster.quiesce()
+            legacy = sorted(p.name for p in tmp_path.glob("server_?.ckpt"))
+            quarantines = sum(
+                s.core.stats.integrity_quarantines for s in cluster.servers
+            )
+            reports = list(cluster.store.corruption_reports)
+            await asyncio.sleep(0.1)  # let the audit streams drain
+            violations = auditor.finalize()
+            history = cluster.history
+            return (
+                sizes, reads, dtypes, quarantines, reports, violations, history,
+                legacy,
+            )
 
     sizes, reads, dtypes, quarantines, reports, violations, history, legacy = (
         asyncio.run(run())
@@ -680,20 +678,15 @@ def test_frame_damage_is_deterministic_and_crc_rejected():
 
 async def _damaged_restart_run(damage, repair: RepairConfig | None):
     """Crash VICTIM, damage its checkpoint file, restart, wait for repair."""
-    auditor = OnlineAuditor()
-    await auditor.start()
-    cluster = AsyncioCluster(
+    async with live_cluster(
         example1_code(),
         config=ServerConfig(gc_interval=25.0),
         retry=RetryPolicy(timeout=40.0, max_retries=8),
         detector=FailureDetectorConfig(heartbeat_interval=25.0,
                                        suspect_after=150.0),
-        audit_addr=auditor.address,
         repair=repair,
-    )
-    await cluster.start()
-    client = await cluster.add_client(server=0)
-    try:
+    ) as (cluster, auditor, _):
+        client = await cluster.add_client(server=0)
         op = await client.write(0, cluster.value(4))
         assert not op.failed
         await cluster.quiesce()
@@ -714,20 +707,7 @@ async def _damaged_restart_run(damage, repair: RepairConfig | None):
             and victim_core.repair_known_tag(1).ts.lamport > 0
         )
         detected = cluster.store.corrupt_detected(VICTIM)
-        violations = [
-            f"auditor: {v.kind}: {v.detail}" for v in auditor.finalize()
-        ]
-        zero = cluster.code.zero_value()
-        violations += check_causal_consistency(
-            cluster.history, zero, raise_on_violation=False
-        )
-        violations += check_returns_written_values(
-            cluster.history, zero, raise_on_violation=False
-        )
-        return recovered, detected, violations
-    finally:
-        await cluster.shutdown()
-        await auditor.close()
+        return recovered, detected, await verdict(cluster, auditor)
 
 
 def test_restart_from_bitrotted_checkpoint_detects_and_heals():

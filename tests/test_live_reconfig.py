@@ -35,7 +35,7 @@ from repro.protocol.failure_detector import FailureDetectorConfig
 from repro.protocol.repair_core import RepairConfig
 from repro.protocol.server_core import ServerConfig
 from repro.runtime.asyncio_rt import AsyncioCluster
-from repro.runtime.auditor import OnlineAuditor
+from repro.runtime.live_chaos import live_cluster, verdict
 from repro.runtime.sharded_rt import ShardedAsyncioCluster
 
 VICTIM = 1
@@ -90,9 +90,7 @@ RECONFIG_SEEDS = [
 
 async def _acceptance_run(seed: int):
     code = example1_code(PrimeField(257))
-    auditor = OnlineAuditor()
-    await auditor.start()
-    cluster = AsyncioCluster(
+    async with live_cluster(
         code,
         config=ServerConfig(gc_interval=50.0),
         retry=RETRY,
@@ -100,112 +98,104 @@ async def _acceptance_run(seed: int):
         detector=FailureDetectorConfig(
             heartbeat_interval=25.0, suspect_after=60.0, confirm_after=250.0
         ),
-        audit_addr=auditor.address,
         auto_replace=True,
-    )
-    await cluster.start()
-    clients = [
-        await cluster.add_client(
-            i, node_id=100 + i, failover=(i == VICTIM)
-        )
-        for i in range(code.N)
-    ]
-
-    stop = asyncio.Event()
-    completed = {"pre": 0, "post": 0}
-    phase = ["pre"]
-
-    async def traffic(client, seed):
-        rng = np.random.default_rng(seed)
-        while not stop.is_set():
-            k = int(rng.integers(code.K))
-            try:
-                if rng.random() < 0.6:
-                    op = await client.write(
-                        k, cluster.value(int(rng.integers(1, 200)))
-                    )
-                else:
-                    op = await client.read(k)
-                if not op.failed:
-                    completed[phase[0]] += 1
-            except Exception:
-                pass  # a client whose home is mid-replace may time out
-            await asyncio.sleep(0.004)
-
-    tasks = [
-        asyncio.ensure_future(traffic(c, 1000 * seed + i))
-        for i, c in enumerate(clients)
-    ]
-    try:
-        await asyncio.sleep(0.3)  # warm-up: writes on every home
-        old = cluster.servers[VICTIM]
-        await cluster.kill_server(VICTIM, forever=True)
-
-        replaced = await _wait_for(
-            lambda: cluster.cfg_epoch >= 1
-            and cluster.servers[VICTIM] is not old
-            and not cluster.servers[VICTIM].halted,
-            10.0,
-        )
-        assert replaced, "confirmed-dead never escalated into a replace"
-        phase[0] = "post"
-        new = cluster.servers[VICTIM]
-        assert new.port == old.port  # endpoint inherited: clients keep working
-        assert ("replace", 1, tuple(range(code.N)), None) in [
-            (n, e, m, j) for n, e, m, j in cluster.reconfig_log
+    ) as (cluster, auditor, _):
+        clients = [
+            await cluster.add_client(
+                i, node_id=100 + i, failover=(i == VICTIM)
+            )
+            for i in range(code.N)
         ]
-        assert any(
-            kind == "dead" and peer == VICTIM
-            for _, peer, kind in cluster.detector_transitions
-        )
 
-        # transient chaos on a bystander while the group is post-cutover
-        await cluster.kill_server(3)
-        await asyncio.sleep(0.1)
-        await cluster.restart_server(3)
+        stop = asyncio.Event()
+        completed = {"pre": 0, "post": 0}
+        phase = ["pre"]
 
-        await asyncio.sleep(0.5)  # post-cutover traffic
-        stop.set()
-        await asyncio.gather(*tasks, return_exceptions=True)
+        async def traffic(client, seed):
+            rng = np.random.default_rng(seed)
+            while not stop.is_set():
+                k = int(rng.integers(code.K))
+                try:
+                    if rng.random() < 0.6:
+                        op = await client.write(
+                            k, cluster.value(int(rng.integers(1, 200)))
+                        )
+                    else:
+                        op = await client.read(k)
+                    if not op.failed:
+                        completed[phase[0]] += 1
+                except Exception:
+                    pass  # a client whose home is mid-replace may time out
+                await asyncio.sleep(0.004)
 
-        assert completed["pre"] > 0 and completed["post"] > 0
-
-        assert await _wait_heal(cluster, VICTIM), (
-            "replacement still stale after the repair budget"
-        )
-        # the replacement serves reads at the dead server's own endpoint
-        probe = await cluster.add_client(VICTIM, node_id=500)
-        for k in range(code.K):
-            op = await probe.read(k)
-            assert not op.failed, (k, op.error)
-
-        # GC watermarks advance past the cutover: the replacement takes
-        # part in the deletion agreement, so its tmax floor rises above
-        # the zero tags it booted with
-        gc_advanced = await _wait_for(
-            lambda: sum(
-                t.ts.lamport for t in new.core.tmax.values()
-            ) > 0,
-            HEAL_WAIT,
-        )
-        assert gc_advanced, "replacement's GC watermark never advanced"
-
-        # the zombie incarnation can never rejoin
-        with pytest.raises(RuntimeError):
-            await old.restart()
-
-        await cluster.quiesce()
-        violations = [
-            f"auditor: {v.kind}: {v.detail}" for v in auditor.finalize()
+        tasks = [
+            asyncio.ensure_future(traffic(c, 1000 * seed + i))
+            for i, c in enumerate(clients)
         ]
-        violations += _consistency(cluster)
-        return violations, len(cluster.history.operations)
-    finally:
-        stop.set()
-        for t in tasks:
-            t.cancel()
-        await cluster.shutdown()
-        await auditor.close()
+        try:
+            await asyncio.sleep(0.3)  # warm-up: writes on every home
+            old = cluster.servers[VICTIM]
+            await cluster.kill_server(VICTIM, forever=True)
+
+            replaced = await _wait_for(
+                lambda: cluster.cfg_epoch >= 1
+                and cluster.servers[VICTIM] is not old
+                and not cluster.servers[VICTIM].halted,
+                10.0,
+            )
+            assert replaced, "confirmed-dead never escalated into a replace"
+            phase[0] = "post"
+            new = cluster.servers[VICTIM]
+            assert new.port == old.port  # endpoint inherited: clients keep working
+            assert ("replace", 1, tuple(range(code.N)), None) in [
+                (n, e, m, j) for n, e, m, j in cluster.reconfig_log
+            ]
+            assert any(
+                kind == "dead" and peer == VICTIM
+                for _, peer, kind in cluster.detector_transitions
+            )
+
+            # transient chaos on a bystander while the group is post-cutover
+            await cluster.kill_server(3)
+            await asyncio.sleep(0.1)
+            await cluster.restart_server(3)
+
+            await asyncio.sleep(0.5)  # post-cutover traffic
+            stop.set()
+            await asyncio.gather(*tasks, return_exceptions=True)
+
+            assert completed["pre"] > 0 and completed["post"] > 0
+
+            assert await _wait_heal(cluster, VICTIM), (
+                "replacement still stale after the repair budget"
+            )
+            # the replacement serves reads at the dead server's own endpoint
+            probe = await cluster.add_client(VICTIM, node_id=500)
+            for k in range(code.K):
+                op = await probe.read(k)
+                assert not op.failed, (k, op.error)
+
+            # GC watermarks advance past the cutover: the replacement takes
+            # part in the deletion agreement, so its tmax floor rises above
+            # the zero tags it booted with
+            gc_advanced = await _wait_for(
+                lambda: sum(
+                    t.ts.lamport for t in new.core.tmax.values()
+                ) > 0,
+                HEAL_WAIT,
+            )
+            assert gc_advanced, "replacement's GC watermark never advanced"
+
+            # the zombie incarnation can never rejoin
+            with pytest.raises(RuntimeError):
+                await old.restart()
+
+            await cluster.quiesce()
+            return await verdict(cluster, auditor), len(cluster.history.operations)
+        finally:
+            stop.set()
+            for t in tasks:
+                t.cancel()
 
 
 @pytest.mark.parametrize("seed", RECONFIG_SEEDS)

@@ -15,17 +15,12 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.consistency.causal import (
-    check_causal_consistency,
-    check_returns_written_values,
-)
 from repro.ec.codes import example1_code
 from repro.protocol.client_core import RetryPolicy
 from repro.protocol.failure_detector import FailureDetectorConfig
 from repro.protocol.repair_core import RepairConfig
 from repro.protocol.server_core import ServerConfig
-from repro.runtime.asyncio_rt import AsyncioCluster
-from repro.runtime.auditor import OnlineAuditor
+from repro.runtime.live_chaos import live_cluster, verdict
 
 VICTIM = 4
 
@@ -34,23 +29,16 @@ VICTIM = 4
 REPAIR_WAIT = 3.0
 
 
-async def _wiped_restart_run(repair: RepairConfig | None, audit: bool):
-    auditor = None
-    if audit:
-        auditor = OnlineAuditor()
-        await auditor.start()
-    cluster = AsyncioCluster(
+async def _wiped_restart_run(repair: RepairConfig | None):
+    async with live_cluster(
         example1_code(),
         config=ServerConfig(gc_interval=25.0),
         retry=RetryPolicy(timeout=40.0, max_retries=8),
         detector=FailureDetectorConfig(heartbeat_interval=25.0,
                                        suspect_after=150.0),
-        audit_addr=auditor.address if auditor else None,
         repair=repair,
-    )
-    await cluster.start()
-    client = await cluster.add_client(server=0)
-    try:
+    ) as (cluster, auditor, _):
+        client = await cluster.add_client(server=0)
         op = await client.write(0, cluster.value(4))
         assert not op.failed
         await cluster.quiesce()
@@ -74,28 +62,12 @@ async def _wiped_restart_run(repair: RepairConfig | None, audit: bool):
             and victim_core.repair_known_tag(1).ts.lamport > 0
         )
         stats = cluster.repair_stats()
-        violations = []
-        if auditor is not None:
-            violations = [
-                f"auditor: {v.kind}: {v.detail}" for v in auditor.finalize()
-            ]
-        zero = cluster.code.zero_value()
-        violations += check_causal_consistency(
-            cluster.history, zero, raise_on_violation=False
-        )
-        violations += check_returns_written_values(
-            cluster.history, zero, raise_on_violation=False
-        )
-        return recovered, stats, violations
-    finally:
-        await cluster.shutdown()
-        if auditor is not None:
-            await auditor.close()
+        return recovered, stats, await verdict(cluster, auditor)
 
 
 def test_wiped_restart_stays_stale_without_repair():
     recovered, stats, violations = asyncio.run(
-        _wiped_restart_run(repair=None, audit=False)
+        _wiped_restart_run(repair=None)
     )
     assert not recovered, (
         "victim converged without repair: the ARQ replayed acked frames?"
@@ -108,7 +80,6 @@ def test_wiped_restart_converges_bounded_with_repair():
     recovered, stats, violations = asyncio.run(
         _wiped_restart_run(
             repair=RepairConfig(digest_interval=150.0, round_timeout=500.0),
-            audit=True,
         )
     )
     assert recovered, "victim still stale after the repair budget"
