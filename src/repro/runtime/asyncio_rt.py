@@ -50,10 +50,17 @@ duplicating or dropping protocol messages.
 Durability: pipelined group commit behind an output barrier
 -----------------------------------------------------------
 A handler's ``PersistEffect`` does not touch the disk.  It marks the server
-dirty and asks for one :meth:`AsyncioServer._commit`; everything the
-handlers want to send -- client replies, the cumulative ack owed to each
-peer, peer data frames, gossip, reconnect replays and retransmits -- is
-*held*.  A commit is three steps.  *Snapshot*, on the loop: encode **one**
+dirty; everything the handlers want to send -- client replies, the
+cumulative ack owed to each peer, peer data frames, gossip, reconnect
+replays and retransmits -- is *held* until a commit covers it.  Only held
+output that someone waits on asks for one :meth:`AsyncioServer._commit`:
+a client reply, a peer data frame, gossip, an audit record.  Dirty state
+and owed acks ride the next such commit or the server's next GC slot
+(:meth:`AsyncioServer._on_timer` commits whatever waits), so a delivery
+whose only output is its ack costs no write of its own, and an ack waits
+one ``gc_interval`` at most -- acks only trim the sender's send log.  A
+server without a GC period commits on every delivery.  A commit is three
+steps.  *Snapshot*, on the loop: encode **one**
 checkpoint covering everything handled so far straight from the live
 objects (skipped when the file already holds that state, those send
 sequence numbers and those receive watermarks) and, in the same callback,
@@ -71,7 +78,8 @@ checkpoint containing that state and that watermark is durable: a client
 never sees a ``WriteAck`` for a write a crash can forget, and a peer never
 prunes a frame the receiver can lose.  A crash before the release drops
 the held output with the volatile state -- nobody saw either -- and leaves
-the slots holding the old checkpoint or the new one.
+the slots holding the old checkpoint or the new one; deliveries that only
+waited for a GC slot were never acked, and their senders replay them.
 
 Time is ``loop.time()`` in milliseconds, so the cores see the same unit the
 simulator uses; effect timers map to ``loop.call_at`` guarded by an
@@ -751,16 +759,21 @@ class FileDurableStore:
 
     # -- deterministic damage, for chaos schedules and tests -----------
 
-    def _newest_file(self, server_id: int) -> Path | None:
-        """The non-empty file holding the newest checkpoint, as far as the
-        store knows (the legacy file before the first write)."""
+    def _newest_file(self, server_id: int) -> tuple[Path, bytes] | None:
+        """The file holding the newest checkpoint, as far as the store
+        knows (the legacy file before the first write), and its bytes.
+
+        ``None`` when it is missing or empty: a commit landing on a worker
+        thread can empty it before the loop learns which slot is newest.
+        """
         if server_id not in self._slots:
             self._scan(server_id)
         path = self._path(server_id, self._slots[server_id].newest)
         try:
-            return path if path.stat().st_size else None
+            blob = path.read_bytes()
         except FileNotFoundError:
             return None
+        return (path, blob) if blob else None
 
     def corrupt_file(self, server_id: int, seed: int = 0, flips: int = 1) -> bool:
         """Flip ``flips`` seeded bits in the stored checkpoint (bit rot).
@@ -769,10 +782,10 @@ class FileDurableStore:
         a pure function of ``(seed, server_id, file size)`` so chaos
         schedules replay identically.
         """
-        path = self._newest_file(server_id)
-        if path is None:
+        newest = self._newest_file(server_id)
+        if newest is None:
             return False
-        blob = bytearray(path.read_bytes())
+        path, blob = newest[0], bytearray(newest[1])
         rng = np.random.default_rng((seed, 0xB17F11, server_id, len(blob)))
         for _ in range(flips):
             pos = int(rng.integers(0, len(blob)))
@@ -782,10 +795,10 @@ class FileDurableStore:
 
     def truncate_file(self, server_id: int, keep_frac: float = 0.5) -> bool:
         """Model a torn write: keep only a prefix of the checkpoint file."""
-        path = self._newest_file(server_id)
-        if path is None:
+        newest = self._newest_file(server_id)
+        if newest is None:
             return False
-        blob = path.read_bytes()
+        path, blob = newest
         path.write_bytes(blob[: int(len(blob) * keep_frac)])
         return True
 
@@ -1239,9 +1252,9 @@ class AsyncioServer:
         # -- commit barrier (see ``_commit``) ---------------------------
         #: durable state changed since the last checkpoint
         self._dirty = False
-        #: something became dirty or held since the last snapshot: a
-        #: ``_commit`` is queued for the next loop iteration, or will be
-        #: the moment the commit in flight lands
+        #: held output or the GC slot asked for a commit since the last
+        #: snapshot: a ``_commit`` is queued for the next loop iteration,
+        #: or will be the moment the commit in flight lands
         self._commit_scheduled = False
         #: the disk half of the one commit in flight (an executor future)
         self._in_flight: asyncio.Future | None = None
@@ -1582,7 +1595,7 @@ class AsyncioServer:
         # cumulative, so one ack per peer per commit: the commit writes
         # the watermark it has just made durable
         self._held_acks[src] = conn.transport
-        self._schedule_commit()
+        self._defer_commit()
         return True
 
     def _deliver(self, src: int, msg) -> None:
@@ -1765,14 +1778,28 @@ class AsyncioServer:
                 self._scrub_disk()
             return
         self.interpret(self.core.handle_timer(timer_id, self.now()))
+        if self._deferred:
+            # the GC slot: state and acks that no output has asked a
+            # commit for ride this one, so an ack waits one period at most
+            self._schedule_commit()
 
     def _persist(self) -> None:
         self._dirty = True
-        self._schedule_commit()
+        self._defer_commit()
+
+    def _defer_commit(self) -> None:
+        """Dirty state or an owed ack waits for a commit: the next one that
+        held output asks for, or the next GC slot (``_on_timer``).  A
+        server without a GC period has no slot, so it asks now."""
+        if self.core.config.gc_interval is None:
+            self._schedule_commit()
 
     def _schedule_commit(self) -> None:
         """Ask for one ``_commit`` covering what is dirty or held now.
 
+        Held output that someone waits on asks for it -- a client reply, a
+        peer data frame, gossip, an audit record -- and so does the GC
+        slot; state and acks alone wait (:meth:`_defer_commit`).
         Idempotent.  With no commit in flight it is queued for the next
         loop iteration: asyncio runs only the handles that were ready when
         an iteration started, so a commit scheduled by the first frame of
@@ -1788,19 +1815,30 @@ class AsyncioServer:
                 self._loop.call_soon(self._commit, self._epoch)
 
     @property
+    def _deferred(self) -> bool:
+        """Memory is ahead of the file, or an ack is owed: the next
+        commit, whoever asks for it, takes these along."""
+        return self._dirty or bool(self._held_acks)
+
+    @property
     def committing(self) -> bool:
-        """A commit is scheduled or in flight: memory is ahead of the
-        file, or output is held."""
+        """A commit is scheduled or in flight.  Memory can be ahead of the
+        file without one (:attr:`_deferred`), held output cannot."""
         return self._commit_scheduled or self._in_flight is not None
 
     async def committed(self) -> None:
-        """Return once no commit is scheduled and none is in flight.
+        """Commit what waits for a GC slot, then return once no commit is
+        scheduled and none is in flight.
 
         Everything handled before the call is then on disk and everything
         it held has been released -- unless the disk refused the write
         (the loop's exception handler was told; the output stays held
-        until the next event retries) or the server was killed meanwhile.
+        until the next commit retries) or the server was killed meanwhile:
+        a halted server flushes nothing, so ``kill`` loses what only
+        waited.
         """
+        if self._deferred:
+            self._schedule_commit()  # a no-op once halted
         while self.committing:
             if self._in_flight is not None:
                 # ``wait`` neither raises the disk's error nor cancels the
@@ -1883,7 +1921,7 @@ class AsyncioServer:
             return  # crashed with the write in flight: nobody sees the batch
         if exc is not None:
             # as when the disk failed inside ``_commit``: nothing is
-            # released, the server stays dirty, the next event retries
+            # released, the server stays dirty, the next commit retries
             self._dirty = True
             self._commit_scheduled = False
             self._reclaim(batch)
@@ -1995,6 +2033,7 @@ class AsyncioServer:
                 epoch=self.core.cfg_epoch,
             )
         )
+        self._schedule_commit()  # the auditor waits for the record
 
     def _audit_landed(self, durable: int) -> None:
         """The first ``durable`` audit records are on disk: push them."""
@@ -2711,12 +2750,20 @@ class AsyncioCluster:
         await self.committed()
 
     async def committed(self) -> None:
-        """Return once no server has a commit scheduled or in flight."""
-        # a GC tick can start a commit on one server while another's is
-        # awaited, hence the loop; each pass waits one disk write at most
-        while any(s.committing for s in self.servers):
-            for s in self.servers:
+        """Return once no server has a commit scheduled or in flight, nor
+        state or acks waiting for one: memory equals the file.  (A disk
+        that keeps refusing the write keeps this retrying.)"""
+        # a GC tick, or frames a flush releases, can leave work on one
+        # server while another's is awaited, hence the loop; each pass
+        # flushes every server once and waits one disk write at most each
+        servers = self.servers
+        while servers:
+            for s in servers:
                 await s.committed()
+            servers = [
+                s for s in self.servers
+                if s.committing or s._deferred and not s.halted
+            ]
 
     async def shutdown(self) -> None:
         for handle in self._fault_handles:

@@ -538,6 +538,9 @@ class _Node:
     def _schedule_commit(self):
         pass
 
+    def _defer_commit(self):
+        pass
+
     def _deliver(self, src, msg):
         node, inc, seq, _payload = msg
         last = self._stream.get((node, inc))

@@ -28,6 +28,12 @@ and the event loop handling further events meanwhile.
   commit writes and releases everything exactly once, in order;
 * **quiesce** -- a quiesced cluster's files hold what its servers hold, one
   non-empty slot per server, the other empty, and no temp file;
+* **commit on output** -- a delivery whose only output is an ack (a
+  ``Del``) writes no checkpoint until the server's next GC slot, and its
+  ack leaves with that slot's commit; a kill inside that window loses the
+  delivery and the peer's replay delivers it exactly once; a server
+  without a GC period commits per event; ``committed`` / ``quiesce`` flush
+  what waits, so a restart comes back with the clock it had;
 * **power cuts** -- what a machine that stops at any step of a write leaves
   in the two slots loads as the last checkpoint whose batch was released,
   or as no checkpoint when a full-length slot is damaged -- never as an
@@ -60,7 +66,7 @@ from repro.consistency.causal import (
     check_causal_consistency,
     check_returns_written_values,
 )
-from repro.core.messages import App
+from repro.core.messages import App, Del
 from repro.core.tags import Tag, VectorClock
 from repro.ec.codes import example1_code
 from repro.protocol.client_core import RetryPolicy
@@ -1066,6 +1072,245 @@ def test_quiesced_means_on_disk_one_file_per_server_and_no_tmp(tmp_path):
         assert min(sizes) == 0 and max(sizes) > 0, (i, sizes)
     for in_memory, on_disk in clocks:
         assert in_memory == on_disk
+
+
+# ----------------------------------------------------------------------
+# commit on output: state and acks wait for output or the GC slot
+
+
+def _peer_run(server, sink, peer, conn_id, frames, sent):
+    """Hand ``frames`` to ``server`` in one read, on a fresh connection
+    from ``peer`` (hello included) whose writes ``sink`` collects."""
+    hello = ("hp", peer, 0, server.core.cfg_epoch, sent, conn_id)
+    conn = _Inbound(server)
+    conn.connection_made(sink)
+    conn.data_received(wire.encode_frames([hello, *frames]))
+    server._inbound.discard(conn)  # ``kill`` must not close a sink
+    return conn
+
+
+def _a_del(code, peer: int) -> Del:
+    """A ``Del`` from ``peer``: its handler changes state, outputs nothing."""
+    ts = VectorClock.zero(code.N).with_component(peer, 1)
+    return Del(0, Tag(ts, 100 + peer))
+
+
+def _ack_spy(monkeypatch, server, peer, conn_id, sink) -> list:
+    """``(loop time, upto)`` of every ack ``server`` sends the connection
+    ``conn_id`` of ``peer``: on its own to ``sink``, or riding in a run to
+    the real peer."""
+    loop = asyncio.get_running_loop()
+    acks = []
+    real_write = _SOCKET_TRANSPORT.write
+
+    def write(transport, data):
+        if _owner(server, transport)[0] == peer:
+            acks.extend(
+                (loop.time(), f[4]) for f in _frames([bytes(data)])
+                if f[0] == "d" and len(f) == 5 and f[3] == conn_id
+            )
+        return real_write(transport, data)
+
+    def sink_write(data):
+        acks.extend((loop.time(), f[1]) for f in _frames([bytes(data)]) if f[0] == "a")
+
+    monkeypatch.setattr(_SOCKET_TRANSPORT, "write", write)
+    sink.write = sink_write
+    return acks
+
+
+def _write_times(monkeypatch, store, server_id) -> list[float]:
+    """Loop time of the snapshot of every checkpoint write ``server_id``
+    starts from here on (a persist the store skips is none)."""
+    loop = asyncio.get_running_loop()
+    times = []
+    real_persist = store.persist
+
+    def persist(checkpoint, defer=False):
+        disk = real_persist(checkpoint, defer=defer)
+        if disk is not None and checkpoint.server_id == server_id:
+            times.append(loop.time())
+        return disk
+
+    monkeypatch.setattr(store, "persist", persist)
+    return times
+
+
+async def _just_after_gc_tick(server, margin: float) -> float:
+    """Wait until ``server``'s next GC tick is at least ``margin`` seconds
+    away and the last one's commit is over; return when the next is due
+    (loop time)."""
+    loop = asyncio.get_running_loop()
+    while True:
+        await server.committed()
+        due = server._timers[("gc",)].when()
+        if due - loop.time() >= margin:
+            return due
+        await asyncio.sleep(max(due - loop.time(), 0.0) + 0.005)
+
+
+def test_a_del_only_delivery_waits_for_the_gc_slot_and_its_ack_leaves_with_it(
+    monkeypatch,
+):
+    code = example1_code()
+    victim_id, peer, conn_id, period = 2, 0, 4242, 0.4
+
+    async def run():
+        cluster = AsyncioCluster(
+            code, config=ServerConfig(gc_interval=period * 1000.0)
+        )
+        await cluster.start()
+        await cluster.quiesce()
+        victim = cluster.servers[victim_id]
+        due = await _just_after_gc_tick(victim, margin=period / 2)
+        writes = _write_times(monkeypatch, cluster.store, victim_id)
+        sink = _AckSink()
+        acks = _ack_spy(monkeypatch, victim, peer, conn_id, sink)
+        _peer_run(victim, sink, peer, conn_id, [("d", 1, [_a_del(code, peer)])], 1)
+        assert victim._recv_last[peer] == 1
+        # delivered and dirty, but nothing asked for a commit
+        assert victim._deferred and not victim.committing
+        await _until(lambda: acks)
+        await asyncio.sleep(0.05)
+        on_disk = FileDurableStore(cluster.store.root).load(victim_id)
+        await cluster.shutdown()
+        return due, writes, acks, on_disk
+
+    due, writes, acks, on_disk = asyncio.run(run())
+    # one checkpoint, written at the GC slot and not before; one ack, let
+    # out by that commit
+    assert len(writes) == 1 and writes[0] >= due - 1e-3
+    assert [upto for _, upto in acks] == [1] and acks[0][0] >= writes[0]
+    assert on_disk.transport["recv"][peer] == 1
+
+
+def test_a_kill_inside_the_deferral_window_loses_the_delivery_and_the_replay_delivers_it_once():
+    code = example1_code()
+    victim_id, peer, period = 2, 0, 0.4
+
+    async def run():
+        cluster = AsyncioCluster(
+            code, config=ServerConfig(gc_interval=period * 1000.0)
+        )
+        await cluster.start()
+        await cluster.quiesce()
+        victim = cluster.servers[victim_id]
+        delivered = []
+        real_deliver = victim._deliver
+
+        def deliver(src, msg):
+            if type(msg) is Del:
+                delivered.append((src, msg))
+            real_deliver(src, msg)
+
+        victim._deliver = deliver
+        a_del = _a_del(code, peer)
+        first, replay = _AckSink(), _AckSink()
+        await _just_after_gc_tick(victim, margin=0.75 * period)
+        writes = cluster.store.persist_counts.get(victim_id, 0)
+        _peer_run(victim, first, peer, 1001, [("d", 1, [a_del])], 1)
+        assert delivered == [(peer, a_del)] and victim._deferred
+        await asyncio.sleep(0.02)  # ample for a commit of its own to land
+        # the process dies inside the window: ``kill`` flushes nothing
+        await cluster.kill_server(victim_id)
+        lost = (
+            cluster.store.persist_counts.get(victim_id, 0) - writes,
+            first.writes,
+        )
+        await cluster.restart_server(victim_id)
+        forgotten = victim._recv_last.get(peer, 0)
+        # the peer got no ack, so it replays its unacked tail on its next
+        # connection -- and a duplicate of it after that
+        _peer_run(
+            victim, replay, peer, 1002,
+            [("d", 1, [a_del]), ("d", 1, [a_del])], 1,
+        )
+        await asyncio.wait_for(victim.committed(), 5.0)
+        acks = [f[1] for f in _frames(replay.writes) if f[0] == "a"]
+        on_disk = FileDurableStore(cluster.store.root).load(victim_id)
+        await cluster.shutdown()
+        return delivered, lost, forgotten, acks, on_disk
+
+    delivered, lost, forgotten, acks, on_disk = asyncio.run(run())
+    assert lost == (0, [])  # nothing written, nothing acked
+    assert forgotten == 0  # the restart does not know the delivery
+    assert len(delivered) == 2  # the lost one, then the replay: once
+    assert acks == [1]
+    assert on_disk.transport["recv"][peer] == 1
+
+
+def test_without_a_gc_period_every_event_commits_at_once(monkeypatch):
+    code = example1_code()
+    victim_id, peer, conn_id = 2, 0, 4343
+
+    async def run():
+        cluster = AsyncioCluster(code, config=ServerConfig(gc_interval=None))
+        await cluster.start()
+        await cluster.quiesce()
+        victim = cluster.servers[victim_id]
+        sink = _AckSink()
+        acks = _ack_spy(monkeypatch, victim, peer, conn_id, sink)
+        writes = cluster.store.persist_counts.get(victim_id, 0)
+        a_del = _a_del(code, peer)
+        conn = _peer_run(victim, sink, peer, conn_id, [], 2)
+        per_event = []
+        for seq, msg in ((1, a_del), (2, Del(1, a_del.tag))):
+            conn.data_received(wire.encode_frame(("d", seq, [msg])))
+            scheduled = victim.committing
+            await asyncio.wait_for(victim.committed(), 5.0)
+            per_event.append((
+                scheduled,
+                cluster.store.persist_counts.get(victim_id, 0) - writes,
+                [upto for _, upto in acks],
+            ))
+        await cluster.shutdown()
+        return per_event
+
+    assert asyncio.run(run()) == [(True, 1, [1]), (True, 2, [1, 2])]
+
+
+def test_committed_leaves_memory_equal_to_the_file_and_a_restart_the_same_clock():
+    code = example1_code()
+
+    async def run():
+        cluster = AsyncioCluster(code, config=ServerConfig(gc_interval=500.0))
+        await cluster.start()
+        clients = [await cluster.add_client(s) for s in (0, 2, 4)]
+
+        async def session(i, client):
+            for k in range(6):
+                key = (i + k) % code.K
+                op = await (
+                    client.read(key) if k % 3 == 2
+                    else client.write(key, cluster.value(10 * i + k + 1))
+                )
+                assert not op.failed
+
+        await asyncio.gather(*(session(i, c) for i, c in enumerate(clients)))
+        # deliveries nobody answered wait for a GC slot up to 0.5 s away
+        waiting = [s.node_id for s in cluster.servers if s._deferred]
+        await cluster.quiesce()
+        after = []
+        for s in cluster.servers:
+            on_disk = FileDurableStore(cluster.store.root).load(s.node_id)
+            after.append((
+                s._deferred,
+                s.core.vc == on_disk.state["vc"],
+                dict(s._recv_last) == dict(on_disk.transport["recv"]),
+            ))
+        clocks = []
+        for s in cluster.servers:
+            vc = s.core.vc
+            await cluster.kill_server(s.node_id)
+            await cluster.restart_server(s.node_id)
+            clocks.append(s.core.vc == vc)
+        await cluster.shutdown()
+        return waiting, after, clocks
+
+    waiting, after, clocks = asyncio.run(run())
+    assert waiting, "no server had deferred state: the flush went untested"
+    assert after == [(False, True, True)] * code.N
+    assert all(clocks)
 
 
 # ----------------------------------------------------------------------

@@ -150,6 +150,30 @@ def test_file_store_detects_truncation(tmp_path):
     assert store.load(ckpt.server_id) is not None
 
 
+def test_damage_to_a_slot_a_commit_has_just_emptied_is_no_damage(
+    tmp_path, monkeypatch
+):
+    """A commit landing on its worker thread truncates the slot the store
+    still takes for the newest.  Damage scheduled by a fault plan then
+    finds the file empty, and reports that there was nothing to damage."""
+    store = FileDurableStore(tmp_path)
+    ckpt = _checkpoint()
+    store.persist(ckpt)
+    slots = [store._path(ckpt.server_id, slot) for slot in (0, 1)]
+    (newest,) = [path for path in slots if path.stat().st_size]
+    real_read = Path.read_bytes
+
+    def read_bytes(path):
+        if path == newest:
+            os.truncate(path, 0)  # the commit lands just before the read
+        return real_read(path)
+
+    monkeypatch.setattr(Path, "read_bytes", read_bytes)
+    assert store.corrupt_file(ckpt.server_id, seed=7) is False
+    assert store.truncate_file(ckpt.server_id, keep_frac=0.5) is False
+    assert [path.stat().st_size for path in slots] == [0, 0]
+
+
 def test_file_store_sweeps_stale_tmp_on_boot(tmp_path):
     store = FileDurableStore(tmp_path)
     ckpt = _checkpoint()
