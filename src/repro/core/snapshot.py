@@ -184,9 +184,7 @@ def capture_server_state(server, transport=None) -> ServerCheckpoint:
     is one, else from the core's last-event clock.
     """
     state = {name: getattr(server, name) for name in _DURABLE_ATTRS}
-    tstate = None
-    if transport is not None and getattr(transport, "active", False):
-        tstate = transport.snapshot_node(server.node_id)
+    tstate = None if transport is None else transport.snapshot_node(server.node_id)
     sched = getattr(server, "scheduler", None)
     return ServerCheckpoint(
         server_id=server.node_id,
@@ -224,7 +222,9 @@ def restore_server_state(
     # the integrity seal covers the *restored* codeword, not the boot-time one
     server.reseal_codeword()
     if transport is not None and checkpoint.transport is not None:
-        transport.restore_node(server.node_id, checkpoint.transport)
+        transport.restore_node(
+            server.node_id, copy.deepcopy(checkpoint.transport)
+        )
 
 
 def _to_storage_dtype(server) -> None:
@@ -267,10 +267,12 @@ class DurableStore:
 
     def persist(self, checkpoint: ServerCheckpoint) -> None:
         # the slot outlives the event that produced the checkpoint, whose
-        # state aliases the live server: keep a private copy (the transport
-        # half is already one -- ``snapshot_node`` copies what it returns)
+        # state and transport halves both alias the live server and its
+        # channels: keep a private copy of each
         self._checkpoints[checkpoint.server_id] = replace(
-            checkpoint, state=copy.deepcopy(checkpoint.state)
+            checkpoint,
+            state=copy.deepcopy(checkpoint.state),
+            transport=copy.deepcopy(checkpoint.transport),
         )
         self._corrupt.discard(checkpoint.server_id)
         self.persist_counts[checkpoint.server_id] = (

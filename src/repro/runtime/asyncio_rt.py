@@ -28,7 +28,7 @@ one closes it):
   incarnation and sequence space -- the ack is for; ``i`` applies it only
   to its current one.
   ``acked`` and ``seq`` bracket the dialer's unacked tail: a listener
-  whose watermark is outside them resynchronises (see ``_peer_hello``).
+  whose watermark is outside them resynchronises (``ArqReceiver.hello``).
   ``cfg_epoch`` is the dialer's membership epoch: a listener that has
   moved to a newer configuration *fences* the connection (rejecting every
   frame it would have carried) after answering with its commit chain
@@ -38,14 +38,15 @@ one closes it):
   server-side opid deduplication already make requests crash-tolerant.
 
 Reliable FIFO channels (the paper's network model) are realised per peer
-channel with a small ARQ: the dialer numbers messages, buffers them until
-acked, and replays the unacked tail on every reconnect; the listener
-delivers in sequence order, deduplicates, and records the delivery
-watermark together with the handler's state change.  Channel state (send
-seq + unacked tail, receive watermarks) rides inside each
-:class:`~repro.core.snapshot.ServerCheckpoint` exactly like the simulator's
-ARQ transport state, so a restarted server resumes its channels without
-duplicating or dropping protocol messages.
+channel on the ARQ core the simulator shares (:mod:`repro.protocol
+.arq_core`): the dialer's send half numbers messages and keeps them until
+acked, and the dialer replays the unacked tail on every reconnect; the
+listener's receive half delivers in sequence order, deduplicates, and
+moves the watermark together with the handler's state change.  Channel
+state (send seq + unacked tail, receive watermarks) rides inside each
+:class:`~repro.core.snapshot.ServerCheckpoint`, in the simulator's shape,
+so a restarted server resumes its channels without duplicating or
+dropping protocol messages.
 
 Durability: pipelined group commit behind an output barrier
 -----------------------------------------------------------
@@ -98,7 +99,6 @@ import os
 import secrets
 import struct
 import tempfile
-from collections import deque
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -123,6 +123,12 @@ from ..core.snapshot import (
 )
 from ..ec.code import LinearCode
 from ..ec.codes import extend_code
+from ..protocol.arq_core import (
+    ArqReceiver,
+    ArqSender,
+    restore_channels,
+    snapshot_channels,
+)
 from ..protocol.client_core import ClientCore, HomeServerUnavailable, RetryPolicy
 from ..protocol.effects import (
     CancelTimerEffect,
@@ -837,7 +843,7 @@ class _PeerChannel:
     :class:`~repro.runtime.chaos_rt.FrameFate` first: frames may be
     dropped, duplicated, or delayed before they reach the socket.  The ARQ
     already masks exactly these hazards -- dropped frames stay in
-    ``unacked`` and are retransmitted by :meth:`_retransmit_loop`,
+    ``arq.unacked`` and are retransmitted by :meth:`_retransmit_loop`,
     duplicates and reorderings are absorbed by the receiver's watermark --
     so chaos costs latency, never correctness.
 
@@ -848,7 +854,7 @@ class _PeerChannel:
     the connection's :class:`_Dialed` protocol or piggybacked in the
     peer's run frames on our listener (:meth:`AsyncioServer._peer_frame`);
     fence responses and flow control come through :class:`_Dialed`:
-    while it is paused, data frames are not enqueued at all (``unacked``
+    while it is paused, data frames are not enqueued at all (``arq``
     holds them; the resume replays the skipped tail) and gossip is shed.
     FIFO order holds: ``_pending`` keeps append order, only ``release``
     writes.
@@ -857,12 +863,8 @@ class _PeerChannel:
     def __init__(self, server: "AsyncioServer", peer_id: int):
         self.server = server
         self.peer_id = peer_id
-        self.seq = 0
-        #: highest cumulative ack received; frames <= acked are pruned and
-        #: can never be replayed, so the hello advertises it as the
-        #: receiver's minimum watermark (see ``_peer_hello``)
-        self.acked = 0
-        self.unacked: deque[tuple[int, object]] = deque()
+        #: the channel's send half: seq, acked and the unacked tail
+        self.arq = ArqSender()
         #: the current connection; ``None`` while (re)dialling
         self.transport: asyncio.Transport | None = None
         #: the id the latest connection's hello carried; an ack the peer
@@ -882,9 +884,7 @@ class _PeerChannel:
         self._last_tx: dict[int, float] = {}
 
     def send(self, msg) -> None:
-        self.seq += 1
-        self.unacked.append((self.seq, msg))
-        self._transmit(self.seq, msg)
+        self._transmit(self.arq.push(msg), msg)
 
     def send_gossip(self, msg) -> None:
         """Best-effort unsequenced frame (heartbeats): no ARQ, no replay."""
@@ -1003,7 +1003,8 @@ class _PeerChannel:
         """Say hello on a fresh connection and replay the unacked tail."""
         s, transport = self.server, conn.transport
         self.conn = secrets.randbits(62) + 1
-        hello = ("hp", s.node_id, self.acked, s.core.cfg_epoch, self.seq, self.conn)
+        arq = self.arq
+        hello = ("hp", s.node_id, arq.acked, s.core.cfg_epoch, arq.seq, self.conn)
         s._write_frame(transport, hello)
         # frames queued for the dead connection are stale; the replay
         # below re-sends everything that still matters
@@ -1011,7 +1012,7 @@ class _PeerChannel:
         self._stall_from = None
         self._paused = False
         self.transport = transport
-        for seq, msg in list(self.unacked):
+        for seq, msg in arq.tail():
             self._transmit(seq, msg)
 
     async def _retransmit_loop(self) -> None:
@@ -1037,7 +1038,7 @@ class _PeerChannel:
         number of frames re-sent.
         """
         sent = 0
-        for seq, msg in list(self.unacked):
+        for seq, msg in self.arq.tail():
             last = self._last_tx.get(seq, float("-inf"))
             if now - last >= RETRANSMIT_INTERVAL:
                 self._transmit(seq, msg)
@@ -1045,10 +1046,7 @@ class _PeerChannel:
         return sent
 
     def _on_ack(self, upto: int) -> None:
-        if upto > self.acked:
-            self.acked = upto
-        while self.unacked and self.unacked[0][0] <= upto:
-            seq, _ = self.unacked.popleft()
+        for seq in self.arq.ack(upto):
             self._last_tx.pop(seq, None)
 
     def reset(self) -> None:
@@ -1106,9 +1104,8 @@ class _Dialed(_Framed):
         ch._paused = False
         if ch._stall_from is not None:
             stalled, ch._stall_from = ch._stall_from, None
-            for seq, msg in list(ch.unacked):
-                if seq >= stalled:
-                    ch._transmit(seq, msg)
+            for seq, msg in ch.arq.tail(stalled):
+                ch._transmit(seq, msg)
 
     def connection_lost(self, exc) -> None:
         if self.channel.transport is self.transport:
@@ -1131,6 +1128,9 @@ class _Inbound(_Framed):
         self.epoch = server._epoch
         #: the dialling peer's or client's id, once the hello is in
         self.src: int | None = None
+        #: a peer's receive half while the server has none for it yet
+        #: (see ``AsyncioServer._recv``)
+        self.receiver: ArqReceiver | None = None
         self.handle = server._on_hello
 
     def connection_made(self, transport) -> None:
@@ -1148,37 +1148,6 @@ class _Inbound(_Framed):
         if self.src is not None and s._clients.get(self.src) is self.transport:
             del s._clients[self.src]
         super().connection_lost(exc)
-
-
-class _ChannelStateView:
-    """Presents ARQ channel state through the transport-snapshot interface
-    that :func:`~repro.core.snapshot.capture_server_state` expects."""
-
-    active = True
-
-    def __init__(self, server: "AsyncioServer"):
-        self._server = server
-
-    def snapshot_node(self, node_id: int) -> dict:
-        s = self._server
-        return {
-            "send": {
-                j: {"seq": ch.seq, "unacked": list(ch.unacked)}
-                for j, ch in s._channels.items()
-            },
-            "recv": dict(s._recv_last),
-        }
-
-    def restore_node(self, node_id: int, state: dict) -> None:
-        s = self._server
-        for j, st in state.get("send", {}).items():
-            ch = s._channels.get(j)
-            if ch is not None:
-                ch.seq = st["seq"]
-                ch.unacked = deque(tuple(entry) for entry in st["unacked"])
-                # everything below the unacked tail was acked and pruned
-                ch.acked = ch.unacked[0][0] - 1 if ch.unacked else ch.seq
-        s._recv_last = dict(state.get("recv", {}))
 
 
 class AsyncioServer:
@@ -1240,14 +1209,15 @@ class AsyncioServer:
         self._epoch = 0
         self._listener: asyncio.Server | None = None
         self._channels: dict[int, _PeerChannel] = {}
-        self._recv_last: dict[int, int] = {}
-        self._ooo: dict[int, dict[int, object]] = {}
+        #: peer -> the receive half of its channel to us, entered when its
+        #: watermark is first set (a delivery or a hello's reset): the
+        #: checkpoint lists the watermarks in that order
+        self._recv: dict[int, ArqReceiver] = {}
         #: client id -> the transport of its connection
         self._clients: dict[int, asyncio.Transport] = {}
         #: every connection accepted and not yet lost
         self._inbound: set[_Inbound] = set()
         self._timers: dict[tuple, asyncio.TimerHandle] = {}
-        self._arq_view = _ChannelStateView(self)
         self._loop: asyncio.AbstractEventLoop | None = None
         # -- commit barrier (see ``_commit``) ---------------------------
         #: durable state changed since the last checkpoint
@@ -1419,8 +1389,7 @@ class AsyncioServer:
         self._held_acks.clear()
         self._peer_conn.clear()
         del self._audit_log[self._audit_durable:]
-        self._recv_last = {}
-        self._ooo = {}
+        self._recv = {}
         self.core.wipe_volatile()
 
     async def restart(self) -> None:
@@ -1445,9 +1414,7 @@ class AsyncioServer:
                 None if self.store is None else self.store.load(self.node_id)
             )
             if checkpoint is not None:
-                restore_server_state(
-                    self.core, checkpoint, transport=self._arq_view
-                )
+                restore_server_state(self.core, checkpoint, transport=self)
             await self._start_listener()
             for ch in self._channels.values():
                 ch.start()
@@ -1470,6 +1437,18 @@ class AsyncioServer:
     async def shutdown(self) -> None:
         if not self.halted:
             await self.kill()
+
+    def snapshot_node(self, node_id: int) -> dict:
+        """The channel state a checkpoint holds (the transport-snapshot
+        interface of :func:`~repro.core.snapshot.capture_server_state`)."""
+        return snapshot_channels(
+            {j: ch.arq for j, ch in self._channels.items()}, self._recv
+        )
+
+    def restore_node(self, node_id: int, state: dict) -> None:
+        send, self._recv = restore_channels(state)
+        for j, ch in self._channels.items():
+            ch.arq = send.get(j, ch.arq)
 
     # ------------------------------------------------------------------
     # connections
@@ -1498,7 +1477,10 @@ class AsyncioServer:
                 )
                 return False
             conn.src, conn.handle = src, self._peer_frame
-            self._peer_hello(src, base, sent)
+            receiver = conn.receiver = self._recv.get(src) or ArqReceiver()
+            if receiver.hello(base, sent):
+                self._recv[src] = receiver
+                self._persist()  # the watermark is durable state
             self._peer_conn[src] = conn_id
             return True
         if kind == "hc" and len(hello) == 2 and type(hello[1]) is int:
@@ -1506,38 +1488,6 @@ class AsyncioServer:
             self._clients[conn.src] = conn.transport
             return True
         return False
-
-    def _peer_hello(self, src: int, base: int, sent: int) -> None:
-        """Resynchronise the watermark of peer ``src`` with its hello.
-
-        ``base`` is the peer's highest received ack: everything up to it
-        has been pruned from the peer's ARQ queue and can never be
-        replayed.  If our watermark is behind ``base`` (a restart from a
-        checkpoint that predates acks we sent -- acked frames that changed
-        durable state were persisted *before* their ack, so the gap frames
-        provably changed none), waiting for the gap would stall the channel
-        forever; fast-forward to ``base`` instead.
-
-        ``sent`` is the highest sequence number the peer has ever used.  A
-        frame only leaves the peer after a checkpoint holding it, so a
-        peer that remembers its disk can never report less than we have
-        delivered: if it does, it is a fresh incarnation (a replacement, a
-        wiped or corrupt disk) numbering from scratch.  Holding on to the
-        dead incarnation's watermark would swallow -- and ack! -- its
-        first frames as duplicates; rewind to ``base`` instead.
-        """
-        last = self._recv_last.get(src, 0)
-        if sent < last:
-            last = self._recv_last[src] = base
-            self._ooo.pop(src, None)
-            self._persist()
-        if base > last:
-            self._recv_last[src] = base
-            self._persist()  # the watermark is durable state
-            pending = self._ooo.get(src)
-            if pending:
-                for seq in [s for s in pending if s <= base]:
-                    del pending[seq]
 
     def _peer_frame(self, conn: "_Inbound", frame) -> bool:
         """Deliver the run of data messages in a frame from peer
@@ -1571,18 +1521,12 @@ class AsyncioServer:
         if self.detector is not None:
             # any delivered frame is liveness evidence, duplicates too
             self.interpret(self.detector.observe(src, self.now()))
-        last = self._recv_last.get(src, 0)
+        receiver = self._recv.get(src) or conn.receiver
         for seq, msg in enumerate(frame[2], frame[1]):
-            if seq <= last:
-                continue
-            pending = self._ooo.setdefault(src, {})
-            pending[seq] = msg
-            while last + 1 in pending:
-                last += 1
-                m = pending.pop(last)
+            for m in receiver.accept(seq, msg):
                 # watermark and state change reach disk in the same
                 # checkpoint: delivery and its effect are atomic
-                self._recv_last[src] = last
+                self._recv[src] = receiver
                 self._persist()
                 self.activity += 1
                 self._deliver(src, m)
@@ -1873,7 +1817,7 @@ class AsyncioServer:
             if self.store is not None:
                 self.core.stats.persists += 1
                 disk = self.store.persist(
-                    capture_server_state(self.core, self._arq_view), defer=True
+                    capture_server_state(self.core, self), defer=True
                 )
             self._dirty = False
         batch = self._detach_held()
@@ -1893,11 +1837,12 @@ class AsyncioServer:
         acks, self._held_acks = self._held_acks, {}
         return _HeldBatch(
             replies,
-            # the watermark the snapshot holds -- by release time
-            # ``_recv_last`` has moved on to frames the file lacks -- and
-            # the connection id of the hello it follows
+            # the watermark the snapshot holds -- by release time the
+            # receiver has moved on to frames the file lacks -- and the
+            # connection id of the hello it follows
             [
-                (src, w, self._recv_last.get(src, 0), self._peer_conn.get(src))
+                (src, w, getattr(self._recv.get(src), "last", 0),
+                 self._peer_conn.get(src))
                 for src, w in acks.items()
             ],
             [

@@ -1,20 +1,15 @@
 """ARQ sublayer: the paper's reliable FIFO channel, built from lossy links.
 
 Sec. 2.1 of the paper *assumes* reliable asynchronous FIFO channels.  Real
-systems implement that assumption; this module does too, with the classic
-automatic-repeat-request (ARQ) recipe:
-
-* **sequence numbers** per directed channel, stamped on every payload;
-* **cumulative acknowledgements** sent by the receiver on every segment;
-* **retransmission** of unacknowledged segments with exponential backoff
-  (capped) plus multiplicative jitter, forever -- a message to a node that
-  is merely slow, partitioned, or crashed-and-recovering is eventually
-  delivered, which is exactly the reliability the protocol proofs need;
-* **deduplication** of segments the link layer duplicated or that were
-  retransmitted after their ack got lost;
-* **FIFO reassembly** -- out-of-order arrivals (duplicates and
-  retransmissions can reorder) are buffered and delivered in sequence
-  order, restoring the per-channel FIFO property.
+systems implement that assumption; this module does too, as a driver of
+the ARQ core the live runtime shares (:mod:`repro.protocol.arq_core`:
+sequence numbers, cumulative acks, deduplication, in-order reassembly).
+The driver adds the envelopes (:class:`Segment`, :class:`SegmentAck`, an
+ack on every segment) and the timing: **retransmission** of each
+unacknowledged segment with exponential backoff (capped) plus
+multiplicative jitter, forever -- a message to a node that is merely
+slow, partitioned, or crashed-and-recovering is eventually delivered,
+which is exactly the reliability the protocol proofs need.
 
 :class:`ReliableTransport` presents the same facade as
 :class:`~repro.sim.network.Network` (``register`` / ``send`` / ``halt`` /
@@ -30,22 +25,28 @@ verbatim -- no envelopes, no acks, no extra RNG draws -- so executions are
 bit-for-bit identical to running without the transport, and the Thm.
 4.1-4.5 benchmarks measure the paper's cost model, not ARQ overhead.
 
-**Crash-recovery.**  Per-node channel state (send windows and reassembly
-state) can be captured with :meth:`ReliableTransport.snapshot_node` and
-reinstalled with :meth:`restore_node`; the durable-snapshot recovery path
-in :mod:`repro.core` stores it alongside protocol state so a restarted
+**Crash-recovery.**  Per-node channel state (send halves and receive
+watermarks, the live checkpoint's shape) can be captured with
+:meth:`ReliableTransport.snapshot_node` and reinstalled with
+:meth:`restore_node`; the durable-snapshot recovery path in
+:mod:`repro.core` stores it alongside protocol state so a restarted
 server resumes exactly-once, in-order delivery where its last snapshot
 left off.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
+from ..protocol.arq_core import (
+    ArqReceiver,
+    ArqSender,
+    restore_channels,
+    snapshot_channels,
+)
 from .network import NetworkStats
 from .scheduler import EventHandle
 
@@ -113,34 +114,12 @@ class TransportConfig:
             raise ValueError("need backoff >= 1 and jitter >= 0")
 
 
-@dataclass
-class _Outstanding:
-    """One unacknowledged segment at the sender."""
-
-    payload: object
-    rto: float
-    timer: EventHandle | None = field(default=None, compare=False)
-    transmissions: int = 0
-
-
-@dataclass
-class _SendState:
-    """Sender half of one directed channel."""
-
-    next_seq: int = 0
-    unacked: dict[int, _Outstanding] = field(default_factory=dict)
-
-
-@dataclass
-class _RecvState:
-    """Receiver half of one directed channel."""
-
-    expected: int = 0  # next in-order sequence number
-    buffer: dict[int, object] = field(default_factory=dict)  # out-of-order
-
-
 class ReliableTransport:
-    """Network facade adding ARQ reliability over an unreliable substrate."""
+    """Network facade adding ARQ reliability over an unreliable substrate.
+
+    The channel state is :mod:`repro.protocol.arq_core`'s; this driver adds
+    the envelopes and a retransmission timer per unacked segment.
+    """
 
     def __init__(self, network, config: TransportConfig | None = None):
         self.network = network
@@ -150,8 +129,13 @@ class ReliableTransport:
         self.monitor: Callable[[int, int, object], None] | None = None
         self.rng = np.random.default_rng(self.config.seed)
         self._handlers: dict[int, Callable[[int, object], None]] = {}
-        self._send_states: dict[tuple[int, int], _SendState] = {}
-        self._recv_states: dict[tuple[int, int], _RecvState] = {}
+        #: node -> peer -> send half of the channel node -> peer
+        self._send: dict[int, dict[int, ArqSender]] = {}
+        #: node -> peer -> receive half of the channel peer -> node
+        self._recv: dict[int, dict[int, ArqReceiver]] = {}
+        #: node -> (peer, seq) -> (timeout of the next wait, retransmit
+        #: timer); a segment has an entry once sent under its channel state
+        self._timers: dict[int, dict[tuple[int, int], tuple[float, EventHandle]]] = {}
         # observability
         self.retransmissions = 0
         self.acks_sent = 0
@@ -210,39 +194,33 @@ class ReliableTransport:
         if not self.active:
             self.network.send(src, dst, msg)
             return
-        st = self._send_states.setdefault((src, dst), _SendState())
-        seq = st.next_seq
-        st.next_seq += 1
-        st.unacked[seq] = _Outstanding(payload=msg, rto=self.config.initial_rto)
-        self._transmit(src, dst, seq)
+        senders = self._send.setdefault(src, {})
+        sender = senders.get(dst) or senders.setdefault(dst, ArqSender())
+        self._transmit(src, dst, sender.push(msg), msg)
 
     # ------------------------------------------------------------------
     # sender side
 
-    def _transmit(self, src: int, dst: int, seq: int) -> None:
-        st = self._send_states.get((src, dst))
-        out = None if st is None else st.unacked.get(seq)
-        if out is None or self.network.is_halted(src):
-            return  # acked meanwhile, state replaced, or sender crashed
-        if out.transmissions > 0:
+    def _transmit(self, src: int, dst: int, seq: int, payload: object) -> None:
+        """Send segment ``seq`` and arm its retransmission; an ack or a
+        restore cancels the timer."""
+        if self.network.is_halted(src):
+            return  # a crashed sender takes no steps
+        timers = self._timers.setdefault(src, {})
+        sent = timers.get((dst, seq))
+        if sent is None:
+            rto = self.config.initial_rto
+        else:
             self.retransmissions += 1
-        out.transmissions += 1
-        self.network.send(src, dst, Segment(seq, out.payload))
-        wait = out.rto * (1.0 + self.config.jitter * float(self.rng.random()))
-        out.rto = min(out.rto * self.config.backoff, self.config.max_rto)
-        out.timer = self.scheduler.schedule(
-            wait, lambda: self._transmit(src, dst, seq)
+            rto = sent[0]
+        self.network.send(src, dst, Segment(seq, payload))
+        wait = rto * (1.0 + self.config.jitter * float(self.rng.random()))
+        timers[(dst, seq)] = (
+            min(rto * self.config.backoff, self.config.max_rto),
+            self.scheduler.schedule(
+                wait, lambda: self._transmit(src, dst, seq, payload)
+            ),
         )
-
-    def _on_ack(self, src: int, dst: int, ack: SegmentAck) -> None:
-        """Handle an ack at ``src`` for the channel ``src -> dst``."""
-        st = self._send_states.get((src, dst))
-        if st is None:
-            return
-        for seq in [s for s in st.unacked if s <= ack.cum]:
-            out = st.unacked.pop(seq)
-            if out.timer is not None:
-                out.timer.cancel()
 
     # ------------------------------------------------------------------
     # receiver side
@@ -250,105 +228,68 @@ class ReliableTransport:
     def _on_wire(self, dst: int, src: int, wire: object) -> None:
         if isinstance(wire, SegmentAck):
             # an ack received at dst concerns the channel dst -> src
-            self._on_ack(dst, src, wire)
+            sender = self._send.get(dst, {}).get(src)
+            timers = self._timers.get(dst, {})
+            for seq in () if sender is None else sender.ack(wire.cum):
+                sent = timers.pop((src, seq), None)
+                if sent is not None:
+                    sent[1].cancel()
             return
         if not isinstance(wire, Segment):
             # pass-through traffic (ARQ inactive when it was sent)
             self._handlers[dst](src, wire)
             return
-        rc = self._recv_states.setdefault((src, dst), _RecvState())
-        if wire.seq < rc.expected or wire.seq in rc.buffer:
+        receivers = self._recv.setdefault(dst, {})
+        receiver = receivers.get(src) or receivers.setdefault(src, ArqReceiver())
+        if receiver.duplicate(wire.seq):
             self.duplicates_suppressed += 1
         else:
-            rc.buffer[wire.seq] = wire.payload
-            while rc.expected in rc.buffer:
-                payload = rc.buffer.pop(rc.expected)
-                rc.expected += 1
+            for payload in receiver.accept(wire.seq, wire.payload):
                 self._handlers[dst](src, payload)
         # cumulative ack (also re-acks duplicates whose ack was lost)
         self.acks_sent += 1
-        self.network.send(dst, src, SegmentAck(rc.expected - 1))
+        self.network.send(dst, src, SegmentAck(receiver.last))
 
     # ------------------------------------------------------------------
     # crash-recovery support
 
-    def snapshot_node(self, node_id: int) -> dict[str, Any]:
-        """Deep-copied channel state owned by ``node_id``.
+    def snapshot_node(self, node_id: int) -> dict[str, Any] | None:
+        """The channel state ``node_id`` keeps durable, by reference
+        (:func:`~repro.protocol.arq_core.snapshot_channels`), or ``None``
+        while ARQ is off.
 
-        Covers both halves: send windows of channels ``node_id -> *`` (so a
-        recovered node keeps retransmitting messages it logically sent but
-        whose delivery was never acknowledged) and reassembly state of
-        channels ``* -> node_id`` (so retransmissions of already-delivered
-        segments are deduplicated after recovery instead of being applied
-        twice).
+        The send halves keep a recovered node retransmitting what it
+        logically sent but never saw acked; the receive watermarks keep it
+        from applying retransmissions of what it already delivered.
         """
-        send = {
-            chan: _SendState(
-                next_seq=st.next_seq,
-                unacked={
-                    seq: _Outstanding(
-                        payload=copy.deepcopy(out.payload),
-                        rto=self.config.initial_rto,
-                    )
-                    for seq, out in st.unacked.items()
-                },
-            )
-            for chan, st in self._send_states.items()
-            if chan[0] == node_id
-        }
-        recv = {
-            chan: _RecvState(
-                expected=rc.expected, buffer=copy.deepcopy(rc.buffer)
-            )
-            for chan, rc in self._recv_states.items()
-            if chan[1] == node_id
-        }
-        return {"send": send, "recv": recv}
+        if not self.active:
+            return None
+        return snapshot_channels(
+            self._send.get(node_id, {}), self._recv.get(node_id, {})
+        )
 
     def restore_node(self, node_id: int, snap: dict[str, Any]) -> None:
         """Reinstall snapshotted channel state and re-arm retransmissions."""
-        for chan in [c for c in self._send_states if c[0] == node_id]:
-            for out in self._send_states[chan].unacked.values():
-                if out.timer is not None:
-                    out.timer.cancel()
-            del self._send_states[chan]
-        for chan in [c for c in self._recv_states if c[1] == node_id]:
-            del self._recv_states[chan]
-        for chan, st in snap["send"].items():
-            self._send_states[chan] = _SendState(
-                next_seq=st.next_seq,
-                unacked={
-                    seq: _Outstanding(
-                        payload=copy.deepcopy(out.payload),
-                        rto=self.config.initial_rto,
-                    )
-                    for seq, out in st.unacked.items()
-                },
-            )
-        for chan, rc in snap["recv"].items():
-            self._recv_states[chan] = _RecvState(
-                expected=rc.expected, buffer=copy.deepcopy(rc.buffer)
-            )
+        for _, timer in self._timers.pop(node_id, {}).values():
+            timer.cancel()
+        self._send[node_id], self._recv[node_id] = restore_channels(snap)
         self._rearm_node(node_id)
 
     def _rearm_node(self, node_id: int) -> None:
-        """Restart retransmission timers for every unacked outgoing segment."""
-        for (src, dst), st in self._send_states.items():
-            if src != node_id:
-                continue
-            for seq, out in list(st.unacked.items()):
-                if out.timer is not None:
-                    out.timer.cancel()
-                    out.timer = None
-                self._transmit(src, dst, seq)
+        """Retransmit every unacked outgoing segment now, timers afresh."""
+        timers = self._timers.get(node_id, {})
+        for dst, sender in self._send.get(node_id, {}).items():
+            for seq, payload in sender.tail():
+                sent = timers.get((dst, seq))
+                if sent is not None:
+                    sent[1].cancel()
+                self._transmit(node_id, dst, seq, payload)
 
     # ------------------------------------------------------------------
     # introspection
 
-    def in_flight(
-        self, src: int | None = None, exclude: tuple = ()
-    ) -> int:
-        """Unacknowledged segments (optionally restricted to one sender).
+    def in_flight(self, exclude: tuple = ()) -> int:
+        """Unacknowledged segments.
 
         ``exclude`` skips segments whose payload is one of the given
         message types.  Convergence checks use it to ignore perpetual
@@ -356,11 +297,9 @@ class ReliableTransport:
         any instant an ack may legitimately still be on the wire).
         """
         return sum(
-            sum(
-                1
-                for out in st.unacked.values()
-                if not exclude or not isinstance(out.payload, exclude)
-            )
-            for (s, _), st in self._send_states.items()
-            if src is None or s == src
+            1
+            for senders in self._send.values()
+            for sender in senders.values()
+            for _, payload in sender.unacked
+            if not exclude or not isinstance(payload, exclude)
         )

@@ -105,7 +105,7 @@ def test_watermark_recovery_when_checkpoint_predates_acked_seq():
         await cluster.quiesce()
 
         victim = 1
-        acked = dict(cluster.servers[victim]._recv_last)
+        acked = {j: r.last for j, r in cluster.servers[victim]._recv.items()}
         peers = [j for j, n in acked.items() if n > 0]
         assert peers, "no peer traffic reached the victim"
 
@@ -126,7 +126,7 @@ def test_watermark_recovery_when_checkpoint_predates_acked_seq():
         loop = asyncio.get_running_loop()
         deadline = loop.time() + 10.0
         j = peers[0]
-        while cluster.servers[victim]._recv_last.get(j, 0) < acked[j]:
+        while cluster.servers[victim]._recv[j].last < acked[j]:
             assert loop.time() < deadline, (
                 f"channel {j} -> {victim} stalled after watermark rewind"
             )
@@ -184,7 +184,9 @@ def test_acked_base_tracked_and_restored():
         await cluster.quiesce()
         sender = cluster.servers[0]
         bases = {
-            j: ch.acked for j, ch in sender._channels.items() if ch.acked > 0
+            j: ch.arq.acked
+            for j, ch in sender._channels.items()
+            if ch.arq.acked > 0
         }
         assert bases, "no channel ever saw an ack"
         # a restart rederives each channel's acked base from the
@@ -195,12 +197,12 @@ def test_acked_base_tracked_and_restored():
         await cluster.kill_server(0)
         await cluster.restart_server(0)
         restored = cluster.servers[0]._channels
-        assert any(restored[j].acked > 0 for j in bases)
+        assert any(restored[j].arq.acked > 0 for j in bases)
         for j, base in bases.items():
-            ch = restored[j]
-            assert ch.acked <= base
-            if ch.unacked:
-                assert ch.unacked[0][0] == ch.acked + 1
+            arq = restored[j].arq
+            assert arq.acked <= base
+            if arq.unacked:
+                assert arq.unacked[0][0] == arq.acked + 1
         op = await client.write(0, cluster.value(50))
         assert not op.failed
         await cluster.quiesce()
@@ -225,7 +227,7 @@ def test_fresh_incarnation_is_not_mistaken_for_a_duplicate_stream():
         await cluster.quiesce()
         victim = 0
         watermarks = {
-            s.node_id: s._recv_last.get(victim, 0)
+            s.node_id: s._recv[victim].last
             for s in cluster.servers if s.node_id != victim
         }
         assert min(watermarks.values()) >= 6
@@ -234,7 +236,9 @@ def test_fresh_incarnation_is_not_mistaken_for_a_duplicate_stream():
         await cluster.kill_server(victim)
         cluster.store.wipe(victim)  # disk loss: it restarts empty, seq 0
         await cluster.restart_server(victim)
-        assert all(ch.seq == 0 for ch in cluster.servers[victim]._channels.values())
+        assert all(
+            ch.arq.seq == 0 for ch in cluster.servers[victim]._channels.values()
+        )
 
         writer = await cluster.add_client(victim)
         op = await writer.write(1, cluster.value(99))
@@ -246,9 +250,9 @@ def test_fresh_incarnation_is_not_mistaken_for_a_duplicate_stream():
         for s in cluster.servers:
             if s.node_id == victim:
                 continue
-            ch = cluster.servers[victim]._channels[s.node_id]
-            assert s._recv_last.get(victim, 0) == ch.seq >= 1
-            assert not ch.unacked
+            arq = cluster.servers[victim]._channels[s.node_id].arq
+            assert s._recv[victim].last == arq.seq >= 1
+            assert not arq.unacked
         await cluster.shutdown()
 
     asyncio.run(run())

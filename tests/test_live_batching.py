@@ -236,9 +236,9 @@ def test_a_batch_detached_for_a_dead_connection_is_dropped_not_resent():
         held = ch.detach()
         # the channel redials while the write is in flight: the dial loop
         # sheds what was queued for the dead connection and replays
-        # ``unacked``
+        # the unacked tail
         new = _connect(ch)
-        for seq, msg in list(ch.unacked):
+        for seq, msg in ch.arq.tail():
             ch._transmit(seq, msg)
         ch.release(*held)  # bound for ``old``: must not go out on ``new``
         assert old.writes == [] and new.writes == []
@@ -272,7 +272,7 @@ def test_a_lost_connection_stops_the_channel_writing():
         ch.release(*held)
         ch.send(("payload", 1))  # disconnected: waits in unacked
         assert fake.writes == [] and ch._pending == []
-        assert [seq for seq, _ in ch.unacked] == [1, 2]
+        assert [seq for seq, _ in ch.arq.unacked] == [1, 2]
         # flow control of a connection that is no longer the channel's
         conn.pause_writing()
         assert not ch._paused
@@ -499,7 +499,6 @@ class _Node:
     Messages are ``(node, incarnation, seq, payload)``."""
 
     _on_hello = AsyncioServer._on_hello
-    _peer_hello = AsyncioServer._peer_hello
     _peer_frame = AsyncioServer._peer_frame
     _detach_held = AsyncioServer._detach_held
     _release = AsyncioServer._release
@@ -515,8 +514,7 @@ class _Node:
         self.commit_chain: list = []
         self.frames_sent = self.flushes = self.activity = 0
         self.frames_corrupt = 0
-        self._recv_last: dict = {}
-        self._ooo: dict = {}
+        self._recv: dict = {}  # peer -> ArqReceiver, as on a server
         self._peer_conn: dict = {}
         self._held_replies: list = []
         self._held_acks: dict = {}
@@ -598,7 +596,7 @@ class _Pair:
         real = ch._on_ack
 
         def on_ack(upto, ch=ch, real=real):
-            for seq, msg in ch.unacked:
+            for seq, msg in ch.arq.unacked:
                 if seq <= upto:
                     assert msg[:3] in self.durable[1 - i], (
                         f"ack {upto} prunes {msg[:3]}, never durable at {1 - i}"
@@ -640,7 +638,7 @@ class _Pair:
 
     def send(self, a, size):
         ch = self.nodes[a]._channels[1 - a]
-        msg = (a, self.incs[a], ch.seq + 1, bytes(size))
+        msg = (a, self.incs[a], ch.arq.seq + 1, bytes(size))
         self.sent[a].append(msg[:3])
         ch.send(msg)
 
@@ -661,15 +659,19 @@ class _Pair:
                 out.flush()
                 back.flush()
             if all(
-                not n._channels[1 - n.node_id].unacked
+                not n._channels[1 - n.node_id].arq.unacked
                 and not n._channels[1 - n.node_id]._pending
                 for n in self.nodes
             ):
                 break
         for a in (0, 1):
             ch = self.nodes[a]._channels[1 - a]
-            assert not ch.unacked, f"channel {a} stalled at {ch.acked}/{ch.seq}"
-            assert self.nodes[1 - a]._recv_last.get(a) == ch.seq or ch.seq == 0
+            arq = ch.arq
+            assert not arq.unacked, f"channel {a} stalled at {arq.acked}/{arq.seq}"
+            receiver = self.nodes[1 - a]._recv.get(a)
+            assert arq.seq == 0 or (
+                receiver is not None and receiver.last == arq.seq
+            )
             every = self.durable[1 - a] | set(self.nodes[1 - a].delivered)
             assert set(self.sent[a]) <= every
 
@@ -776,7 +778,7 @@ def test_a_reconnect_replaying_megabytes_goes_out_as_several_ordered_frames():
         for k in range(600):
             ts = VectorClock((k + 1, 0))
             ch.send(App(k % 3, value, Tag(ts, 7)))
-        assert len(ch.unacked) == 600 and not ch._pending
+        assert len(ch.arq.unacked) == 600 and not ch._pending
         pair.log.clear()
         pair.dial(0)  # the hello, and the whole tail replayed behind it
         a.commit()

@@ -328,6 +328,12 @@ class _DiskGate:
         self._armed = True
 
 
+def _watermark(server, src: int) -> int:
+    """``server``'s receive watermark for peer ``src`` (0: nothing yet)."""
+    receiver = server._recv.get(src)
+    return 0 if receiver is None else receiver.last
+
+
 def _held(server) -> tuple[int, int, int]:
     """How much ``server`` holds behind the barrier: replies, acks, frames."""
     return (
@@ -342,7 +348,7 @@ def _ack_with_release_time_watermark(monkeypatch):
 
     def release(server, batch):
         acks = [
-            (src, transport, server._recv_last.get(src, 0), conn)
+            (src, transport, _watermark(server, src), conn)
             for src, transport, _upto, conn in batch.acks
         ]
         real(server, batch._replace(acks=acks))
@@ -507,7 +513,7 @@ def test_an_ack_captured_for_a_wiped_peers_old_connection_prunes_nothing(
         to_s = p._channels[s_id]
         at_new_p = await cluster.add_client(p_id)
         assert not (await at_new_p.write(0, cluster.value(9))).failed
-        assert [seq for seq, _ in to_s.unacked][:1] == [1]
+        assert [seq for seq, _ in to_s.arq.unacked][:1] == [1]
         # s's channel reaches the new p and replays its tail behind the
         # barrier; the gate opens and the next commit lets it out, with
         # the ack captured for the old connection
@@ -519,11 +525,15 @@ def test_an_ack_captured_for_a_wiped_peers_old_connection_prunes_nothing(
         await _until(lambda: carried)
         await asyncio.sleep(0.05)
         # (it may have queued more for s meanwhile; none of it reached s)
-        pruned = to_s.acked != 0 or [q for q, _ in to_s.unacked][:1] != [1]
+        pruned = (
+            to_s.arq.acked != 0 or [q for q, _ in to_s.arq.unacked][:1] != [1]
+        )
         real_start(held_back[0])
         assert not (await asyncio.wait_for(write_at_s, 5.0)).failed
         await cluster.quiesce()
-        delivered = s._recv_last.get(p_id, 0) == to_s.seq and not to_s.unacked
+        delivered = (
+            _watermark(s, p_id) == to_s.arq.seq and not to_s.arq.unacked
+        )
         await cluster.shutdown()
         return carried, old_conn, pruned, delivered
 
@@ -806,8 +816,8 @@ def test_crash_between_handler_and_commit_loses_only_what_nobody_saw():
             # the peers' unacked tails were redelivered, and acked
             for s in cluster.servers:
                 for j, ch in s._channels.items():
-                    assert not ch.unacked, f"{s.node_id}->{j} still unacked"
-                    assert cluster.servers[j]._recv_last.get(s.node_id, 0) == ch.seq
+                    assert not ch.arq.unacked, f"{s.node_id}->{j} still unacked"
+                    assert _watermark(cluster.servers[j], s.node_id) == ch.arq.seq
             # ... exactly once: no write is in any server's durable audit log
             # twice (a double apply would log it twice)
             for s in cluster.servers:
@@ -1167,7 +1177,7 @@ def test_a_del_only_delivery_waits_for_the_gc_slot_and_its_ack_leaves_with_it(
         sink = _AckSink()
         acks = _ack_spy(monkeypatch, victim, peer, conn_id, sink)
         _peer_run(victim, sink, peer, conn_id, [("d", 1, [_a_del(code, peer)])], 1)
-        assert victim._recv_last[peer] == 1
+        assert victim._recv[peer].last == 1
         # delivered and dirty, but nothing asked for a commit
         assert victim._deferred and not victim.committing
         await _until(lambda: acks)
@@ -1218,7 +1228,7 @@ def test_a_kill_inside_the_deferral_window_loses_the_delivery_and_the_replay_del
             first.writes,
         )
         await cluster.restart_server(victim_id)
-        forgotten = victim._recv_last.get(peer, 0)
+        forgotten = _watermark(victim, peer)
         # the peer got no ack, so it replays its unacked tail on its next
         # connection -- and a duplicate of it after that
         _peer_run(
@@ -1296,7 +1306,8 @@ def test_committed_leaves_memory_equal_to_the_file_and_a_restart_the_same_clock(
             after.append((
                 s._deferred,
                 s.core.vc == on_disk.state["vc"],
-                dict(s._recv_last) == dict(on_disk.transport["recv"]),
+                {j: r.last for j, r in s._recv.items()}
+                == dict(on_disk.transport["recv"]),
             ))
         clocks = []
         for s in cluster.servers:

@@ -508,7 +508,9 @@ def test_bytes_at_rest_after_a_remote_read_do_not_depend_on_gc_ticks():
         await asyncio.sleep(0.3)
         ticks = sum(s.core.stats.gc_runs for s in cluster.servers) - ticks
         acked = all(
-            not ch.unacked for s in cluster.servers for ch in s._channels.values()
+            not ch.arq.unacked
+            for s in cluster.servers
+            for ch in s._channels.values()
         )
         after = at_rest()
         await cluster.shutdown()
