@@ -13,13 +13,13 @@ import numpy as np
 
 from repro import ServerConfig, UniformLatency
 from repro.analysis import LatencySummary
-from repro.kv.grouped import GroupedCausalKVStore
+from repro.kv import grouped_store
 from repro.workloads import ZipfianGenerator
 
 
 def main() -> None:
     keys = [f"user{i:04d}" for i in range(24)]
-    store = GroupedCausalKVStore(
+    store = grouped_store(
         keys,
         group_size=3,
         num_servers=5,

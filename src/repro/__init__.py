@@ -164,6 +164,6 @@ __all__ += [
 ]
 
 from . import kv  # noqa: E402
-from .kv import CausalKVStore  # noqa: E402
+from .kv import CausalKVStore, single_store  # noqa: E402
 
-__all__ += ["kv", "CausalKVStore"]
+__all__ += ["kv", "CausalKVStore", "single_store"]

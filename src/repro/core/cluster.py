@@ -98,10 +98,10 @@ class Cluster:
 
         ``failover=True`` gives the client every other server (ring order
         after its home) as failover candidates.  ``node_id`` /
-        ``opid_counter`` let a sharded session give its per-shard clients
-        one shared identity (see :mod:`repro.sharding.sim_store`); ids
-        must be unique within this cluster's network and >= the server
-        count.
+        ``opid_counter`` let a session that spans coding groups give its
+        per-group clients one shared identity (see
+        :class:`repro.kv.Session`); ids must be unique within this
+        cluster's network and >= the server count.
         """
         if not 0 <= server < self.num_servers:
             raise ValueError(f"no such server {server}")

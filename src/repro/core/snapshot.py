@@ -210,11 +210,9 @@ def restore_server_state(
     # read-timeout timers died with the old incarnation
     server._read_timeouts = {}
     # membership-derived caches (peer fanout) follow the restored
-    # retirement set; older cores without the hook need no refresh
-    refresh = getattr(server, "_refresh_membership", None)
-    if refresh is not None:
-        server.cfg_retired = tuple(getattr(server, "cfg_retired", ()))
-        refresh()
+    # retirement set, kept a tuple as ``set_retired`` stores it
+    server.cfg_retired = tuple(server.cfg_retired)
+    server._refresh_membership()
     # a checkpoint written before field symbols were kept in the field's
     # storage dtype holds int64 arrays: narrow them (no copy when already
     # right) *before* sealing -- the seal is over the symbol's raw bytes

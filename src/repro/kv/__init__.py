@@ -1,15 +1,22 @@
-"""Adoption-grade facade: string keys, bytes values, sessions, grouping."""
+"""Adoption-grade facade: string keys, bytes values, sessions, placements."""
 
 from .codec import CodecError, ValueCodec
-from .grouped import GroupedCausalKVStore, GroupedSession, hybrid_store
-from .store import CausalKVStore, Session
+from .store import (
+    CausalKVStore,
+    Session,
+    grouped_store,
+    hybrid_store,
+    ring_store,
+    single_store,
+)
 
 __all__ = [
     "CausalKVStore",
     "Session",
-    "GroupedCausalKVStore",
-    "GroupedSession",
+    "single_store",
+    "grouped_store",
     "hybrid_store",
+    "ring_store",
     "ValueCodec",
     "CodecError",
 ]

@@ -1,9 +1,9 @@
 """Live sharded runtime: S asyncio CausalEC clusters behind a shard router.
 
-The asyncio counterpart of :class:`~repro.sharding.sim_store
-.ShardedSimStore`, and the one runtime that changes views: each shard is
-an independent :class:`~repro.runtime.asyncio_rt.AsyncioCluster` coding
-group (its own servers, vector-clock dimension, and GC), and a
+The asyncio counterpart of :func:`~repro.kv.store.ring_store`, and the
+one runtime that changes views: each shard is an independent
+:class:`~repro.runtime.asyncio_rt.AsyncioCluster` coding group (its own
+servers, vector-clock dimension, and GC), and a
 :class:`~repro.sharding.router.ShardRouter` maps keys to (shard, slot)
 locations.  A :class:`ShardedSession` is ONE logical session across
 shards: its per-shard clients share a node id and an opid counter, so the

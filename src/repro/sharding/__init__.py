@@ -13,7 +13,7 @@ migration fences and post-migration causal floors.
 or removing a shard moves only the ~K/S keys whose ring owner changed;
 the live coordinator (:mod:`repro.runtime.sharded_rt`) migrates those
 keys over the existing channels with an epoch-fenced cutover.
-:mod:`repro.sharding.sim_store` runs a fixed ring on the discrete-event
+:func:`repro.kv.ring_store` runs a fixed ring on the discrete-event
 simulator.
 """
 
@@ -26,7 +26,7 @@ from .ring import (
     UnknownShardError,
     ZeroVnodeError,
 )
-from .router import KeyMigrating, ShardLocation, ShardRouter
+from .router import ShardLocation, ShardRouter
 from .view import KeyMove, ViewChange, plan_view_change
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "ZeroVnodeError",
     "ShardLocation",
     "ShardRouter",
-    "KeyMigrating",
     "KeyMove",
     "ViewChange",
     "plan_view_change",

@@ -42,11 +42,7 @@ from typing import Any, Iterable
 
 from .ring import HashRing
 
-__all__ = ["ShardLocation", "ShardRouter", "KeyMigrating"]
-
-
-class KeyMigrating(RuntimeError):
-    """Raised by sync callers that hit a key mid-migration."""
+__all__ = ["ShardLocation", "ShardRouter"]
 
 
 @dataclass(frozen=True)
@@ -98,9 +94,9 @@ class ShardRouter:
         placement: dict[Any, tuple[int, int]],
         vnodes: int = 64,
     ) -> "ShardRouter":
-        """Wrap an explicit ``{key: (shard, slot)}`` placement (legacy
-        grouped stores); ring points are created for the named shards so
-        later view changes still work."""
+        """Wrap an explicit ``{key: (shard, slot)}`` placement (the
+        fixed-group placements of :mod:`repro.kv.store`); ring points are
+        created for the named shards so later view changes still work."""
         shards = sorted({shard for shard, _ in placement.values()})
         slots = 1 + max(
             (slot for _, slot in placement.values()), default=0
@@ -143,7 +139,7 @@ class ShardRouter:
         return self._table[key]
 
     def locate(self, key) -> tuple[int, int]:
-        """Compatibility form: ``(shard, slot)``."""
+        """``(shard, slot)``: a key-value store's ``(group, object)``."""
         loc = self._table[key]
         return (loc.shard, loc.slot)
 

@@ -1,36 +1,29 @@
-"""Tests for the grouped multi-key store (Sec. 4.2's per-group codes)."""
+"""Tests for the grouped placement (Sec. 4.2's per-group codes).
+
+What every placement shares is in ``test_kv_store.py``.
+"""
 
 import pytest
 
-from repro import ConstantLatency, PrimeField, ServerConfig, UniformLatency
+from repro import ConstantLatency, PrimeField
 from repro.ec import example1_code
-from repro.kv.grouped import GroupedCausalKVStore
+from repro.kv import grouped_store
+from tests import test_kv_store as shared
 
 
 def make_store(num_keys=7, **kwargs):
     keys = [f"key{i:03d}" for i in range(num_keys)]
     kwargs.setdefault("latency", ConstantLatency(1.0))
-    return GroupedCausalKVStore(keys, **kwargs)
+    return grouped_store(keys, **kwargs)
 
 
 def test_grouping_layout():
     store = make_store(num_keys=7, group_size=3)
     assert store.num_groups == 3
-    assert [len(g) for g in store.group_keys] == [3, 3, 1]
+    assert [len(store.router.keys_on(g)) for g in range(3)] == [3, 3, 1]
     assert store.locate("key000") == (0, 0)
     assert store.locate("key004") == (1, 1)
     assert store.locate("key006") == (2, 0)
-
-
-def test_put_get_across_groups():
-    store = make_store(num_keys=7, group_size=3)
-    s = store.session(0)
-    for i in range(7):
-        s.put(f"key{i:03d}", f"value-{i}".encode())
-    store.settle()
-    remote = store.session(4)
-    for i in range(7):
-        assert remote.get(f"key{i:03d}") == f"value-{i}".encode()
 
 
 def test_unwritten_keys_empty():
@@ -42,16 +35,6 @@ def test_unknown_key():
     store = make_store()
     with pytest.raises(KeyError):
         store.locate("missing")
-
-
-def test_duplicate_keys_rejected():
-    with pytest.raises(ValueError, match="distinct"):
-        GroupedCausalKVStore(["a", "a"])
-
-
-def test_empty_keys_rejected():
-    with pytest.raises(ValueError, match="at least one"):
-        GroupedCausalKVStore([])
 
 
 def test_bad_group_size():
@@ -75,39 +58,6 @@ def test_custom_code_factory():
     assert store.session(3).get("key001") == b"mixed"
 
 
-def test_session_read_your_writes_across_groups():
-    store = make_store(num_keys=9, group_size=2,
-                       latency=UniformLatency(0.5, 10.0))
-    s = store.session(2)
-    for i in range(9):
-        key = f"key{i:03d}"
-        s.put(key, f"v{i}".encode())
-        assert s.get(key) == f"v{i}".encode()
-
-
-def test_crash_site_affects_all_groups():
-    store = make_store(num_keys=6, group_size=3)  # RS(5,3): 2-fault tolerant
-    s = store.session(0)
-    s.put("key000", b"a")
-    s.put("key004", b"b")
-    store.settle()
-    store.crash_site(0)
-    store.crash_site(1)
-    r = store.session(3)
-    assert r.get("key000") == b"a"
-    assert r.get("key004") == b"b"
-
-
-def test_groups_drain_independently():
-    store = make_store(num_keys=6, group_size=3,
-                       config=ServerConfig(gc_interval=20.0))
-    s = store.session(0)
-    for i in range(6):
-        s.put(f"key{i:03d}", bytes([i]))
-    store.settle(for_time=10_000)
-    assert store.total_transient_entries() == 0
-
-
 def test_shared_clock():
     store = make_store(num_keys=4, group_size=2)
     s = store.session(0)
@@ -123,3 +73,31 @@ def test_message_accounting_aggregates():
     s.put("key000", b"x")
     store.settle()
     assert store.total_messages() > 0
+
+
+# ---------------------------------------------------------------------------
+# the shared checks of ``test_kv_store.py``, under this file's earlier names
+
+
+def test_put_get_across_groups():
+    shared.test_cross_site_put_get("grouped")
+
+
+def test_duplicate_keys_rejected():
+    shared.test_duplicate_keys_rejected("grouped")
+
+
+def test_empty_keys_rejected():
+    shared.test_empty_keys_rejected("grouped")
+
+
+def test_crash_site_affects_all_groups():
+    shared.test_survives_two_crashed_sites("grouped")
+
+
+def test_groups_drain_independently():
+    shared.test_drains_to_zero_transient_entries("grouped")
+
+
+def test_session_read_your_writes_across_groups():
+    shared.test_session_reads_its_writes_across_groups("grouped", seed=0)

@@ -1,9 +1,13 @@
-"""Tests for the hot/cold hybrid store (Sec. 4.2 / footnote 15)."""
+"""Tests for the hot/cold hybrid placement (Sec. 4.2 / footnote 15).
+
+What every placement shares is in ``test_kv_store.py``.
+"""
 
 import pytest
 
 from repro import ConstantLatency, ServerConfig
 from repro.kv import hybrid_store
+from tests import test_kv_store as shared
 
 
 def make(hot=("h1", "h2"), cold=("c1", "c2", "c3", "c4")):
@@ -19,17 +23,6 @@ def test_hot_groups_replicated_cold_groups_coded():
     cold_group, _ = store.locate("c1")
     assert store.clusters[hot_group].code.name.startswith("replication")
     assert store.clusters[cold_group].code.name.startswith("reed-solomon")
-
-
-def test_put_get_both_tiers():
-    store = make()
-    s = store.session(0)
-    s.put("h1", b"hot!")
-    s.put("c2", b"cold")
-    store.settle()
-    r = store.session(3)
-    assert r.get("h1") == b"hot!"
-    assert r.get("c2") == b"cold"
 
 
 def test_hot_reads_local_everywhere():
@@ -62,23 +55,17 @@ def test_disjointness_enforced():
         hybrid_store(["a"], ["a", "b"])
 
 
+# ---------------------------------------------------------------------------
+# the shared checks of ``test_kv_store.py``, under this file's earlier names
+
+
+def test_put_get_both_tiers():
+    shared.test_cross_site_put_get("hybrid")
+
+
 def test_crash_tolerance_spans_tiers():
-    store = make()
-    s = store.session(0)
-    s.put("h1", b"H")
-    s.put("c1", b"C")
-    store.settle()
-    store.crash_site(0)
-    store.crash_site(1)
-    r = store.session(4)
-    assert r.get("h1") == b"H"  # replication survives 4 crashes
-    assert r.get("c1") == b"C"  # RS(5,3) survives 2
+    shared.test_survives_two_crashed_sites("hybrid")
 
 
 def test_drains_after_quiescence():
-    store = make()
-    s = store.session(1)
-    for key in ("h1", "h2", "c1", "c2", "c3", "c4"):
-        s.put(key, key.encode())
-    store.settle(for_time=10_000)
-    assert store.total_transient_entries() == 0
+    shared.test_drains_to_zero_transient_entries("hybrid")

@@ -1,14 +1,18 @@
-"""Tests for the bytes codec and the string-keyed KV facade."""
+"""Tests for the bytes codec and the single-group KV store.
+
+What every placement shares is in ``test_kv_store.py``.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ConstantLatency, PrimeField, UniformLatency
+from repro import ConstantLatency, PrimeField
 from repro.ec import example1_code
 from repro.ec.field import BinaryExtensionField
-from repro.kv import CausalKVStore, CodecError, ValueCodec
+from repro.kv import CodecError, ValueCodec, single_store
+from tests import test_kv_store as shared
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +76,7 @@ def test_codec_round_trip_property(data):
 
 def make_store(**kwargs):
     kwargs.setdefault("latency", ConstantLatency(1.0))
-    return CausalKVStore(["users", "orders", "carts"], **kwargs)
+    return single_store(["users", "orders", "carts"], **kwargs)
 
 
 def test_kv_put_get_same_site():
@@ -80,13 +84,6 @@ def test_kv_put_get_same_site():
     s = store.session(0)
     s.put("users", b"alice")
     assert s.get("users") == b"alice"
-
-
-def test_kv_cross_site_get():
-    store = make_store()
-    store.session(0).put("orders", b"#42")
-    store.settle()
-    assert store.session(4).get("orders") == b"#42"
 
 
 def test_kv_unwritten_key_is_empty():
@@ -108,38 +105,19 @@ def test_kv_unknown_key():
         store.session(0).get("nope")
 
 
-def test_kv_duplicate_keys_rejected():
-    with pytest.raises(ValueError, match="distinct"):
-        CausalKVStore(["a", "a"])
-
-
-def test_kv_empty_keys_rejected():
-    with pytest.raises(ValueError, match="at least one"):
-        CausalKVStore([])
-
-
 def test_kv_key_code_mismatch():
     with pytest.raises(ValueError, match="objects"):
-        CausalKVStore(["a", "b"], code=example1_code(PrimeField(257), value_len=8))
+        single_store(["a", "b"], code=example1_code(PrimeField(257), value_len=8))
 
 
 def test_kv_custom_code():
     code = example1_code(PrimeField(257), value_len=8)
-    store = CausalKVStore(
+    store = single_store(
         ["x1", "x2", "x3"], code=code, latency=ConstantLatency(1.0)
     )
     store.session(0).put("x2", b"hey")
     store.settle()
     assert store.session(4).get("x2") == b"hey"
-
-
-def test_kv_survives_crashes():
-    store = make_store()  # RS(5,3): tolerates 2 crashes
-    store.session(0).put("users", b"persist")
-    store.settle()
-    store.crash_site(0)
-    store.crash_site(1)
-    assert store.session(3).get("users") == b"persist"
 
 
 def test_kv_read_blocks_without_recovery_set():
@@ -148,15 +126,34 @@ def test_kv_read_blocks_without_recovery_set():
     store.settle()
     for site in (0, 1, 2):  # 3 crashes > N - k = 2
         store.crash_site(site)
+    reader = store.session(4)
     with pytest.raises(TimeoutError, match="recovery set"):
-        store.session(4).get("users", max_events=50_000)
+        reader.get("users", max_events=50_000)
+    # the read still holds the session's one pending slot: the next call
+    # fails the same way, not on well-formedness
+    with pytest.raises(TimeoutError, match="recovery set"):
+        reader.get("orders")
+
+
+# ---------------------------------------------------------------------------
+# the shared checks of ``test_kv_store.py``, under this file's earlier names
+
+
+def test_kv_cross_site_get():
+    shared.test_cross_site_put_get("single")
+
+
+def test_kv_duplicate_keys_rejected():
+    shared.test_duplicate_keys_rejected("single")
+
+
+def test_kv_empty_keys_rejected():
+    shared.test_empty_keys_rejected("single")
+
+
+def test_kv_survives_crashes():
+    shared.test_survives_two_crashed_sites("single")
 
 
 def test_kv_sessions_are_causal():
-    """A session always sees its own puts (read-your-writes)."""
-    store = make_store(latency=UniformLatency(0.5, 20.0), seed=9)
-    s = store.session(3)
-    for i in range(10):
-        payload = f"v{i}".encode()
-        s.put("carts", payload)
-        assert s.get("carts") == payload
+    shared.test_session_reads_its_writes_across_groups("single", seed=9)

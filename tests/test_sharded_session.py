@@ -1,15 +1,15 @@
 """Cross-shard session guarantees: RYW + monotone reads in both runtimes.
 
-Satellite of the horizontal-sharding PR.  A :class:`ShardedSimSession` /
-:class:`~repro.runtime.sharded_rt.ShardedSession` is ONE logical session
+A :class:`~repro.runtime.sharded_rt.ShardedSession` is ONE logical session
 whose operations land on different coding groups; the per-shard session
 floors (plus shared client identity) must make read-your-writes and
 monotone reads hold across the shard boundary -- including when the
 session's home site crashes and its per-shard clients fail over to other
 servers carrying the accumulated floors.
 
-Seeded and deterministic: the simulator is bit-reproducible; the live
-runs use small fixed workloads.
+The simulator's counterpart, on every placement of the key-value store,
+is ``tests/test_kv_store.py``; its ring cases also run here, beside the
+live run (a small fixed workload).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.protocol.client_core import RetryPolicy
-from repro.sharding.sim_store import ShardedSimStore
+from tests import test_kv_store as shared
 
 KEYS = [f"key{i}" for i in range(10)]
 
@@ -34,55 +34,17 @@ def _pick_cross_shard_keys(router):
 
 
 # ---------------------------------------------------------------------------
-# simulator
+# simulator: the ring placement's cases of ``test_kv_store.py``
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_sim_session_alternating_across_shards(seed):
-    store = ShardedSimStore(
-        KEYS, num_shards=2, slots_per_shard=len(KEYS), value_len=1, seed=seed
-    )
-    session = store.session(site=0)
-    ka, kb = _pick_cross_shard_keys(store.router)
-    rng = np.random.default_rng(seed)
-    last: dict[str, int] = {}
-    for i in range(12):
-        key, other = (ka, kb) if i % 2 == 0 else (kb, ka)
-        value = int(rng.integers(1, 90))
-        session.put(key, value)
-        last[key] = value
-        # RYW on the key just written, monotone on the other shard's key
-        assert int(session.get(key).value[0]) == last[key]
-        if other in last:
-            assert int(session.get(other).value[0]) == last[other]
+    shared.test_session_reads_its_writes_across_groups("ring", seed)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_sim_session_ryw_survives_site_failover(seed):
-    store = ShardedSimStore(
-        KEYS, num_shards=2, slots_per_shard=len(KEYS), value_len=1, seed=seed
-    )
-    session = store.session(
-        site=0,
-        failover=True,
-        retry=RetryPolicy(timeout=50.0, backoff=1.5, max_retries=4),
-    )
-    ka, kb = _pick_cross_shard_keys(store.router)
-    session.put(ka, 41)
-    session.put(kb, 42)
-    # crash the session's home site in EVERY shard; reads fail over and
-    # the carried per-shard floors force the fallback servers to serve
-    # nothing older than the session's own writes
-    store.halt_site(0)
-    ra = session.get(ka)
-    assert not ra.failed and int(ra.value[0]) == 41
-    rb = session.get(kb)
-    assert not rb.failed and int(rb.value[0]) == 42
-    # the clients actually switched homes
-    switched = [
-        c for c in session._clients.values() if getattr(c, "switch_log", [])
-    ]
-    assert switched, "expected at least one client failover"
+    shared.test_session_ryw_survives_site_failover("ring", seed)
 
 
 # ---------------------------------------------------------------------------
